@@ -44,6 +44,7 @@ Usage::
     python -m repro scaling --profile               # any bench + wall report
 """
 
+import argparse
 import sys
 
 from .bench import (
@@ -57,6 +58,7 @@ from .bench import (
     figure6,
     integrity,
     monitor,
+    profile,
     regress,
     scaling,
     setups,
@@ -92,14 +94,27 @@ ORDER = ["table1", "table2", "figure5", "figure6", "table3", "table4",
 #: experiments whose main() accepts a telemetry hub (--telemetry flag)
 TELEMETRY_CAPABLE = frozenset(tracing.SCENARIOS)
 
+#: commands that parse their own flags
+SUBCOMMANDS = {
+    "trace": tracing.main,
+    "torture": torture.main,
+    "chaos": chaos.main,
+    "integrity": integrity.main,
+    "failover": failover.main,
+    "explain": explain.main,
+    "monitor": monitor.main,
+    "regress": regress.main,
+    "profile": profile.main,
+}
 
-def _emit_profile(target):
+
+def _emit_profile(target, sims):
     """Report the self-profile of every world a ``--profile`` bench run
     built: a pooled wall-attribution summary on stdout plus the full
     aggregate as ``<target>-profile.json``."""
-    if not setups.profile_enabled():
-        return
-    profilers = [p for p in setups.profilers() if p.steps]
+    profilers = [sim.telemetry.profiler for sim in sims
+                 if sim.telemetry.profiler is not None
+                 and sim.telemetry.profiler.steps]
     if not profilers:
         return
     import json
@@ -111,7 +126,6 @@ def _emit_profile(target):
     path = "%s-profile.json" % target
     with open(path, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
-    setups.set_profile(True)  # reset the profiler list
     print("\nself-profile: %d world(s), %d events, %.2fx real time, "
           "%.0f events/sec -> %s"
           % (report["worlds"], report["steps"],
@@ -122,13 +136,10 @@ def _emit_profile(target):
                                           row["wall_s"]))
 
 
-def _emit_metrics(target):
+def _emit_metrics(target, sims):
     """Export the series of every metrics-armed world a bench built
     (``--metrics-interval``) as long-format CSV, one world column."""
-    interval = setups.metrics_interval()
-    if interval is None:
-        return
-    sims = setups.metric_sims()
+    sims = [sim for sim in sims if sim.telemetry.metrics.enabled]
     if not sims:
         return
     from .telemetry import series as series_mod
@@ -143,9 +154,26 @@ def _emit_metrics(target):
         lines.extend(chunk if not lines else chunk[1:])
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
-    setups.set_metrics_interval(interval)  # reset the world list
     print("\nmetrics: %d world(s), %d window(s) at %gs intervals -> %s"
-          % (len(sims), windows, interval, path))
+          % (len(sims), windows, sims[0].telemetry.metrics.interval, path))
+
+
+def _emit_reports(target, sims):
+    _emit_metrics(target, sims)
+    _emit_profile(target, sims)
+
+
+def _bench_parser():
+    """Flags of ``python -m repro <experiment|all>``: the shared world
+    flags plus the full-run telemetry trace."""
+    parser = argparse.ArgumentParser(prog="python -m repro",
+                                     parents=[setups.world_parser()])
+    parser.add_argument("target", help="an experiment name, or 'all'")
+    parser.add_argument("--telemetry", action="store_true",
+                        help="trace the experiment's representative run")
+    parser.add_argument("--out", help="chrome trace path for --telemetry "
+                        "(default <target>-trace.json)")
+    return parser
 
 
 def main(argv=None):
@@ -158,120 +186,51 @@ def main(argv=None):
             print("  %-10s %s%s" % (name, EXPERIMENTS[name][0], flag))
         return 0
     target = argv[0]
-    if target == "profile":
-        from .bench import profile as bench_profile
-        return bench_profile.main(argv[1:])
-    if "--profile" in argv and target != "monitor":
-        # Run any bench with the simulator self-profiler riding every
-        # world; the pooled wall attribution is reported after the run.
-        # monitor keeps its own --profile (it embeds the attribution
-        # and the sim.* gauge series in the dashboard itself).
-        argv = [arg for arg in argv if arg != "--profile"]
-        setups.set_profile(True)
-    subcommands = {
-        "trace": tracing.main,
-        "torture": torture.main,
-        "chaos": chaos.main,
-        "integrity": integrity.main,
-        "failover": failover.main,
-        "scaling": scaling.main,
-        "explain": explain.main,
-        "monitor": monitor.main,
-        "regress": regress.main,
-    }
-    if target in subcommands:
-        status = subcommands[target](argv[1:])
-        _emit_profile(target)
+    if target in SUBCOMMANDS:
+        return SUBCOMMANDS[target](argv[1:])
+    sims = []
+    if target == "scaling":
+        status = scaling.main(argv[1:], sims)
+        _emit_reports(target, sims)
         return status
-    if "--gray-faults" in argv:
-        # Run any bench table with gray faults injected into its devices
-        # (and the timeout/abort/retry stack armed to survive them).
-        index = argv.index("--gray-faults")
-        setups.set_gray_faults(argv[index + 1])
-        argv = argv[:index] + argv[index + 2:]
-    if "--metrics-interval" in argv:
-        # Run any bench table with continuous windowed metrics; the
-        # collected series are exported as CSV after the run.
-        index = argv.index("--metrics-interval")
-        setups.set_metrics_interval(float(argv[index + 1]))
-        argv = argv[:index] + argv[index + 2:]
-    if ("--devices" in argv or "--mirror" in argv or "--log-device" in argv
-            or "--interface" in argv or "--sq" in argv
-            or "--queue-depth" in argv):
-        # Run any bench table on a striped or mirrored data target,
-        # with the log placed on a dedicated device, and/or behind a
-        # chosen host interface (SATA NCQ vs NVMe multi-queue).
-        width = 1
-        if "--devices" in argv:
-            index = argv.index("--devices")
-            width = int(argv[index + 1])
-            argv = argv[:index] + argv[index + 2:]
-        mirror = 1
-        if "--mirror" in argv:
-            index = argv.index("--mirror")
-            mirror = int(argv[index + 1])
-            argv = argv[:index] + argv[index + 2:]
-        dedicated_log = "--log-device" in argv
-        if dedicated_log:
-            argv = [arg for arg in argv if arg != "--log-device"]
-        interface = "sata"
-        if "--interface" in argv:
-            index = argv.index("--interface")
-            interface = argv[index + 1]
-            argv = argv[:index] + argv[index + 2:]
-        submission_queues = None
-        if "--sq" in argv:
-            index = argv.index("--sq")
-            submission_queues = int(argv[index + 1])
-            argv = argv[:index] + argv[index + 2:]
-        queue_depth = None
-        if "--queue-depth" in argv:
-            index = argv.index("--queue-depth")
-            queue_depth = int(argv[index + 1])
-            argv = argv[:index] + argv[index + 2:]
-        setups.set_topology(data_devices=width, dedicated_log=dedicated_log,
-                            mirror=mirror, interface=interface,
-                            submission_queues=submission_queues,
-                            queue_depth=queue_depth)
+    if target != "all" and target not in EXPERIMENTS:
+        print("unknown experiment: %r (try 'list')" % target)
+        return 2
+    parser = _bench_parser()
+    args = parser.parse_args(argv)
+    world = setups.world_config(parser, args)
+    if args.out is not None and not args.telemetry:
+        parser.error("--out names the --telemetry trace")
     if target == "all":
+        if args.telemetry:
+            parser.error("--telemetry traces one experiment, not 'all'")
         for name in ORDER:
             print("=" * 70)
             print("== %s" % EXPERIMENTS[name][0])
             print("=" * 70)
-            EXPERIMENTS[name][1]()
-            _emit_metrics(name)
-            _emit_profile(name)
+            sims = []
+            EXPERIMENTS[name][1](world=world, sims=sims)
+            _emit_reports(name, sims)
             print()
         return 0
-    if target not in EXPERIMENTS:
-        print("unknown experiment: %r (try 'list')" % target)
-        return 2
-    rest = argv[1:]
-    if "--telemetry" in rest:
-        rest = [arg for arg in rest if arg != "--telemetry"]
-        out = "%s-trace.json" % target
-        if "--out" in rest:
-            index = rest.index("--out")
-            out = rest[index + 1]
-            del rest[index:index + 2]
-        if target not in TELEMETRY_CAPABLE:
-            print("--telemetry is not supported for %r (supported: %s)"
-                  % (target, ", ".join(sorted(TELEMETRY_CAPABLE))))
-            return 2
-        from .telemetry import Telemetry
-        telemetry = Telemetry(enabled=True)
-        EXPERIMENTS[target][1](telemetry=telemetry)
-        telemetry.write_chrome_trace(out)
-        print("\nchrome trace of the representative %s run: %s "
-              "(%d events, tracks: %s)"
-              % (target, out, len(telemetry.events),
-                 ", ".join(telemetry.tracks())))
-        _emit_metrics(target)
-        _emit_profile(target)
+    if not args.telemetry:
+        EXPERIMENTS[target][1](world=world, sims=sims)
+        _emit_reports(target, sims)
         return 0
-    EXPERIMENTS[target][1]()
-    _emit_metrics(target)
-    _emit_profile(target)
+    if target not in TELEMETRY_CAPABLE:
+        print("--telemetry is not supported for %r (supported: %s)"
+              % (target, ", ".join(sorted(TELEMETRY_CAPABLE))))
+        return 2
+    from .telemetry import Telemetry
+    telemetry = Telemetry(enabled=True)
+    EXPERIMENTS[target][1](telemetry=telemetry, world=world, sims=sims)
+    out = args.out or "%s-trace.json" % target
+    telemetry.write_chrome_trace(out)
+    print("\nchrome trace of the representative %s run: %s "
+          "(%d events, tracks: %s)"
+          % (target, out, len(telemetry.events),
+             ", ".join(telemetry.tracks())))
+    _emit_reports(target, sims)
     return 0
 
 

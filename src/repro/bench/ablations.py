@@ -25,7 +25,8 @@ from .tableio import render_table
 
 
 # --- write amplification & lifetime ------------------------------------------
-def run_write_amplification(ops_per_client=None):
+def run_write_amplification(ops_per_client=None, world=setups.WorldConfig(),
+                            sims=None):
     """Bytes written to flash per logical page update, across the four
     Figure-5 configurations (plus the page-size effect)."""
     results = []
@@ -36,9 +37,10 @@ def run_write_amplification(ops_per_client=None):
         ("OFF/OFF 4KB (best)", False, False, 4 * units.KIB),
     ]
     for label, barrier, doublewrite, page_size in cases:
-        sim = setups.fresh_world()
+        sim = setups.fresh_world(world=world, sims=sims)
         engine, devices = setups.mysql_setup(sim, page_size, barrier,
-                                             doublewrite, buffer_gb=10)
+                                             doublewrite, buffer_gb=10,
+                                             world=world)
         workload = LinkBenchWorkload(
             engine, LinkBenchConfig(db_bytes=setups.scaled_db_bytes()))
         ops = ops_per_client if ops_per_client is not None \
@@ -77,11 +79,12 @@ def format_write_amplification(results):
 
 
 # --- capacitor budget sweep ------------------------------------------------------
-def run_capacitor_sweep(counts=(0, 1, 2, 4, 8, 15), writes=400):
+def run_capacitor_sweep(counts=(0, 1, 2, 4, 8, 15), writes=400,
+                        world=setups.WorldConfig(), sims=None):
     """Acked 4KB writes lost at power failure vs capacitor count."""
     results = []
     for count in counts:
-        sim = setups.fresh_world()
+        sim = setups.fresh_world(world=world, sims=sims)
         bank = CapacitorBank(count=count)
         device = DuraSSD(sim, durassd_spec(), capacitors=bank)
         device.record_acks = True
@@ -119,11 +122,12 @@ def format_capacitor_sweep(results):
 
 
 # --- mapping granularity (pairing) -------------------------------------------------
-def run_mapping_granularity(ios=2000):
+def run_mapping_granularity(ios=2000, world=setups.WorldConfig(),
+                            sims=None):
     """Sustained 4KB random-write drain with 4KB vs 8KB mapping."""
     results = []
     for unit in (4 * units.KIB, 8 * units.KIB):
-        sim = setups.fresh_world()
+        sim = setups.fresh_world(world=world, sims=sims)
         spec = durassd_spec().replace(mapping_unit=unit)
         device = DuraSSD(sim, spec)
         filesystem = FileSystem(sim, device, barriers=False)
@@ -153,7 +157,7 @@ def format_mapping_granularity(results):
 
 
 # --- flush semantics alternatives (Section 3.3) -----------------------------------
-def run_flush_semantics(ios=1500):
+def run_flush_semantics(ios=1500, world=setups.WorldConfig(), sims=None):
     """fsync-heavy throughput under three barrier policies on DuraSSD."""
     cases = [
         ("flush every fsync (barrier on)", True, True),
@@ -162,8 +166,8 @@ def run_flush_semantics(ios=1500):
     ]
     results = []
     for label, barriers, ordered in cases:
-        sim = setups.fresh_world()
-        device = setups.make_device(sim, "durassd")
+        sim = setups.fresh_world(world=world, sims=sims)
+        device = setups.make_device(sim, "durassd", world=world)
         filesystem = FileSystem(sim, device, barriers=barriers,
                                 ordered_queue=ordered)
         job = FioJob(rw="randwrite", block_size=4 * units.KIB,
@@ -183,14 +187,14 @@ def format_flush_semantics(results):
 
 
 # --- GC victim policy (Section 3.1.1's wear-aware scheduling) ----------------
-def run_victim_policies(rounds=400):
+def run_victim_policies(rounds=400, world=setups.WorldConfig(), sims=None):
     """Wear spread and GC effort under a hot/cold skew, greedy vs
     cost-benefit victim selection."""
     from ..flash import FlashArray, FlashGeometry, FlashTiming, PageMappingFTL
     from ..sim.rng import make_rng
     results = []
     for policy in ("greedy", "cost-benefit"):
-        sim = setups.fresh_world()
+        sim = setups.fresh_world(world=world, sims=sims)
         geometry = FlashGeometry(channels=2, packages_per_channel=2,
                                  chips_per_package=2, planes_per_chip=2,
                                  blocks_per_plane=8, pages_per_block=16,
@@ -231,16 +235,18 @@ def format_victim_policies(results):
         "Ablation: GC victim policy under hot/cold skew", headers, rows)
 
 
-def main():
-    print(format_write_amplification(run_write_amplification()))
+def main(world=setups.WorldConfig(), sims=None):
+    print(format_write_amplification(
+        run_write_amplification(world=world, sims=sims)))
     print()
-    print(format_capacitor_sweep(run_capacitor_sweep()))
+    print(format_capacitor_sweep(run_capacitor_sweep(world=world, sims=sims)))
     print()
-    print(format_mapping_granularity(run_mapping_granularity()))
+    print(format_mapping_granularity(
+        run_mapping_granularity(world=world, sims=sims)))
     print()
-    print(format_flush_semantics(run_flush_semantics()))
+    print(format_flush_semantics(run_flush_semantics(world=world, sims=sims)))
     print()
-    print(format_victim_policies(run_victim_policies()))
+    print(format_victim_policies(run_victim_policies(world=world, sims=sims)))
 
 
 if __name__ == "__main__":

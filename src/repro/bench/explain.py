@@ -33,10 +33,10 @@ BASE_OPS = 24
 PAGE_SIZE = 16 * units.KIB
 
 
-def _traced(barrier, doublewrite, ops):
+def _traced(barrier, doublewrite, ops, world=setups.WorldConfig()):
     telemetry = Telemetry(enabled=True)
     result = run_config(barrier, doublewrite, PAGE_SIZE, clients=CLIENTS,
-                        ops_per_client=ops, telemetry=telemetry)
+                        ops_per_client=ops, telemetry=telemetry, world=world)
     outcome = {
         "barrier": barrier,
         "doublewrite": doublewrite,
@@ -56,13 +56,9 @@ def _scenario_linkbench(ops):
 
 def _scenario_gray(ops):
     """Healthy vs gray-failing data path, durable-cache mode."""
-    modes = {"healthy": _traced(False, False, ops)}
-    setups.set_gray_faults("stalls")
-    try:
-        modes["gray-stalls"] = _traced(False, False, ops)
-    finally:
-        setups.set_gray_faults("none")
-    return modes
+    return {"healthy": _traced(False, False, ops),
+            "gray-stalls": _traced(False, False, ops, setups.WorldConfig(
+                gray_faults="stalls"))}
 
 
 SCENARIOS = scenarios.ScenarioSet("explain")

@@ -27,10 +27,12 @@ PAPER_APPROX = {
 
 
 def run_config(barrier, doublewrite, page_size, clients=128,
-               ops_per_client=None, buffer_gb=10, telemetry=None):
-    sim = setups.fresh_world(telemetry)
+               ops_per_client=None, buffer_gb=10, telemetry=None,
+               world=setups.WorldConfig(), sims=None):
+    sim = setups.fresh_world(telemetry, world, sims)
     engine, _devices = setups.mysql_setup(sim, page_size, barrier,
-                                          doublewrite, buffer_gb=buffer_gb)
+                                          doublewrite, buffer_gb=buffer_gb,
+                                          world=world)
     workload = LinkBenchWorkload(
         engine, LinkBenchConfig(db_bytes=setups.scaled_db_bytes()))
     if ops_per_client is None:
@@ -45,7 +47,7 @@ def run_config(barrier, doublewrite, page_size, clients=128,
 TRACED_CONFIG = (True, True, 16 * units.KIB)
 
 
-def run(telemetry=None):
+def run(telemetry=None, world=setups.WorldConfig(), sims=None):
     """{(barrier, dwb): [LinkBenchResult per page size]}
 
     ``telemetry`` is threaded into the :data:`TRACED_CONFIG` run only
@@ -57,7 +59,7 @@ def run(telemetry=None):
             run_config(barrier, doublewrite, page_size,
                        telemetry=telemetry
                        if (barrier, doublewrite, page_size) == TRACED_CONFIG
-                       else None)
+                       else None, world=world, sims=sims)
             for page_size in PAGE_SIZES]
     return results
 
@@ -86,8 +88,8 @@ def format_table(results):
                     % (best / worst)) + chart
 
 
-def main(telemetry=None):
-    print(format_table(run(telemetry)))
+def main(telemetry=None, world=setups.WorldConfig(), sims=None):
+    print(format_table(run(telemetry, world, sims)))
 
 
 if __name__ == "__main__":

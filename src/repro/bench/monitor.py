@@ -40,8 +40,9 @@ MAX_DASHBOARD_WINDOWS = 64
 
 
 def run_scenario(name, interval=DEFAULT_INTERVAL, rules=None,
-                 profile=False):
-    """Run one traced scenario under windowed metrics.
+                 profile=False, world=setups.WorldConfig()):
+    """Run one traced scenario, built as ``world``, under windowed
+    metrics.
 
     Returns ``(report, registry)`` — the dashboard report dict plus the
     live registry for the exporters.  With ``profile`` a
@@ -57,7 +58,7 @@ def run_scenario(name, interval=DEFAULT_INTERVAL, rules=None,
         from ..sim import SimProfiler
         profiler = SimProfiler()
         telemetry.profiler = profiler
-    outcome = fn(telemetry)
+    outcome = fn(telemetry, world)
     registry.finish()
     monitor = SLOMonitor(registry,
                          default_bench_rules() if rules is None else rules)
@@ -254,17 +255,13 @@ def main(argv):
         else:
             print("unknown option: %r" % flag)
             return 2
-    if gray is not None:
-        setups.set_gray_faults(gray)
+    world = setups.WorldConfig(gray_faults=None if gray == "none" else gray)
     try:
         report, registry = run_scenario(name, interval=interval,
-                                        profile=profile)
+                                        profile=profile, world=world)
     except KeyError as error:
         print(error.args[0])
         return 2
-    finally:
-        if gray is not None:
-            setups.set_gray_faults("none")
     markdown = render_markdown(report)
     if out_path is not None:
         with open(out_path, "w") as handle:

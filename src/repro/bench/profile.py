@@ -221,35 +221,34 @@ def run_speed(smoke=False, ops_per_client=None, widths=None):
         widths = (1,) if smoke else scaling.WIDTHS
     if ops_per_client is None:
         ops_per_client = scaling.BASE_OPS_PER_CLIENT
-    setups.set_profile(True)
+    world = setups.WorldConfig(profile=True)
     cells = []
-    try:
-        for label, barriers in scaling.MODES:
-            for width in widths:
-                record = scaling.run_width(width, barriers,
-                                           ops_per_client=ops_per_client)
-                profiler = setups.profilers()[-1]
-                cell = {
-                    "mode": label,
-                    "width": width,
-                    "tps": record["tps"],
-                    "sim_seconds": record["sim_seconds"],
-                    "wall_seconds": record["wall_seconds"],
-                    "real_time_factor": (record["sim_seconds"]
-                                         / record["wall_seconds"]),
-                    "events": profiler.steps,
-                    "events_per_sec": (profiler.steps
-                                       / record["wall_seconds"]),
-                    "loop_wall_seconds": profiler.wall_seconds(),
-                }
-                cells.append(cell)
-                print("  %-13s width=%d  rtf=%5.2fx  %8.0f ev/s  "
-                      "(%d events, wall %.2fs)"
-                      % (label, width, cell["real_time_factor"],
-                         cell["events_per_sec"], cell["events"],
-                         cell["wall_seconds"]))
-    finally:
-        setups.set_profile(False)
+    for label, barriers in scaling.MODES:
+        for width in widths:
+            sims = []
+            record = scaling.run_width(width, barriers,
+                                       ops_per_client=ops_per_client,
+                                       world=world, sims=sims)
+            profiler = sims[-1].telemetry.profiler
+            cell = {
+                "mode": label,
+                "width": width,
+                "tps": record["tps"],
+                "sim_seconds": record["sim_seconds"],
+                "wall_seconds": record["wall_seconds"],
+                "real_time_factor": (record["sim_seconds"]
+                                     / record["wall_seconds"]),
+                "events": profiler.steps,
+                "events_per_sec": (profiler.steps
+                                   / record["wall_seconds"]),
+                "loop_wall_seconds": profiler.wall_seconds(),
+            }
+            cells.append(cell)
+            print("  %-13s width=%d  rtf=%5.2fx  %8.0f ev/s  "
+                  "(%d events, wall %.2fs)"
+                  % (label, width, cell["real_time_factor"],
+                     cell["events_per_sec"], cell["events"],
+                     cell["wall_seconds"]))
     return {
         "benchmark": "speed",
         "workload": "linkbench",

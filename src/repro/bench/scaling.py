@@ -25,17 +25,23 @@ Usage::
     python -m repro scaling --smoke --interface nvme --sq 2
     python -m repro scaling --out BENCH_scaling.json
 
+Of the shared world flags (:func:`repro.bench.setups.world_parser`) the
+sweep takes ``--interface/--sq/--queue-depth``, ``--metrics-interval``
+and ``--profile``; it sweeps stripe width, mirroring and log placement
+itself, and runs healthy devices only.
+
 The JSON report (ops/s, p99 seconds, simulated seconds, wall seconds
 per configuration) is the repo's perf trajectory record: future changes
 land against these numbers.
 """
 
+import argparse
 import json
 import sys
 import time
 
 from ..db.innodb import InnoDBConfig, InnoDBEngine
-from ..host import FileSystem, QueueTopology, RegionView, StripedVolume
+from ..host import FileSystem, RegionView, StripedVolume
 from ..sim import units
 from ..workloads.linkbench import LinkBenchConfig, LinkBenchWorkload
 from . import setups
@@ -79,22 +85,22 @@ def _measure(engine, sim, clients, ops_per_client):
     }
 
 
-def run_width(width, barriers, clients=CLIENTS, ops_per_client=None):
+def run_width(width, barriers, clients=CLIENTS, ops_per_client=None,
+              world=setups.WorldConfig(), sims=None):
     """One stripe-sweep cell: striped data target + dedicated log."""
     if ops_per_client is None:
         ops_per_client = setups.ops_scale(BASE_OPS_PER_CLIENT)
-    sim = setups.fresh_world()
+    sim = setups.fresh_world(world=world, sims=sims)
     db_bytes = setups.scaled_db_bytes()
     data_target, _members = setups.make_data_target(
-        sim, DEVICE_KIND, int(db_bytes * 2.5), width=width)
+        sim, DEVICE_KIND, int(db_bytes * 2.5), width=width, world=world)
     log_device = setups.make_device(
         sim, DEVICE_KIND, capacity_bytes=max(units.GIB, db_bytes // 4),
-        name="%s.log" % DEVICE_KIND)
-    model = setups.queue_topology()
+        name="%s.log" % DEVICE_KIND, world=world)
     data_fs = FileSystem(sim, data_target, barriers=barriers,
-                         queue_model=model)
+                         queue_model=world.queue)
     log_fs = FileSystem(sim, log_device, barriers=barriers,
-                        queue_model=model)
+                        queue_model=world.queue)
     config = InnoDBConfig(page_size=PAGE_SIZE,
                           buffer_pool_bytes=setups.scaled(BUFFER_GB))
     engine = InnoDBEngine(sim, data_fs, log_fs, config)
@@ -106,7 +112,8 @@ def run_width(width, barriers, clients=CLIENTS, ops_per_client=None):
 
 
 def run_placement(colocated, width=ABLATION_WIDTH, clients=CLIENTS,
-                  ops_per_client=None, barriers=True):
+                  ops_per_client=None, barriers=True,
+                  world=setups.WorldConfig(), sims=None):
     """One log-placement arm at stripe width ``width``.
 
     Colocated: data and WAL carve region views out of *one* shared
@@ -116,17 +123,18 @@ def run_placement(colocated, width=ABLATION_WIDTH, clients=CLIENTS,
     """
     if ops_per_client is None:
         ops_per_client = setups.ops_scale(BASE_OPS_PER_CLIENT)
-    sim = setups.fresh_world()
+    sim = setups.fresh_world(world=world, sims=sims)
     db_bytes = setups.scaled_db_bytes()
     data_bytes = int(db_bytes * 2.5)
     log_bytes = max(units.GIB, db_bytes // 4)
-    model = setups.queue_topology()
+    model = world.queue
     if colocated:
         member_bytes = -(-(data_bytes + log_bytes) // width)
         members = tuple(
             setups.make_device(sim, DEVICE_KIND,
                                capacity_bytes=member_bytes,
-                               name="%s.d%d" % (DEVICE_KIND, index))
+                               name="%s.d%d" % (DEVICE_KIND, index),
+                               world=world)
             for index in range(width))
         volume = StripedVolume(sim, members, queue_model=model)
         data_blocks = units.lba_count(data_bytes)
@@ -140,10 +148,11 @@ def run_placement(colocated, width=ABLATION_WIDTH, clients=CLIENTS,
             barriers=barriers)
     else:
         data_target, _members = setups.make_data_target(
-            sim, DEVICE_KIND, data_bytes, width=width)
+            sim, DEVICE_KIND, data_bytes, width=width, world=world)
         log_device = setups.make_device(sim, DEVICE_KIND,
                                         capacity_bytes=log_bytes,
-                                        name="%s.log" % DEVICE_KIND)
+                                        name="%s.log" % DEVICE_KIND,
+                                        world=world)
         data_fs = FileSystem(sim, data_target, barriers=barriers,
                              queue_model=model)
         log_fs = FileSystem(sim, log_device, barriers=barriers,
@@ -158,25 +167,25 @@ def run_placement(colocated, width=ABLATION_WIDTH, clients=CLIENTS,
 
 
 def run_mirror(mirror, barriers=False, clients=CLIENTS,
-               ops_per_client=None):
+               ops_per_client=None, world=setups.WorldConfig(), sims=None):
     """One mirroring cell: ``mirror`` replicated data devices (RAID-1,
     block checksums, read-repair) plus the dedicated log drive.
     ``mirror`` 1 is the bare single-device world — the overhead
     baseline."""
     if ops_per_client is None:
         ops_per_client = setups.ops_scale(BASE_OPS_PER_CLIENT)
-    sim = setups.fresh_world()
+    sim = setups.fresh_world(world=world, sims=sims)
     db_bytes = setups.scaled_db_bytes()
     data_target, _members = setups.make_data_target(
-        sim, DEVICE_KIND, int(db_bytes * 2.5), width=1, mirror=mirror)
+        sim, DEVICE_KIND, int(db_bytes * 2.5), width=1, mirror=mirror,
+        world=world)
     log_device = setups.make_device(
         sim, DEVICE_KIND, capacity_bytes=max(units.GIB, db_bytes // 4),
-        name="%s.log" % DEVICE_KIND)
-    model = setups.queue_topology()
+        name="%s.log" % DEVICE_KIND, world=world)
     data_fs = FileSystem(sim, data_target, barriers=barriers,
-                         queue_model=model)
+                         queue_model=world.queue)
     log_fs = FileSystem(sim, log_device, barriers=barriers,
-                        queue_model=model)
+                        queue_model=world.queue)
     config = InnoDBConfig(page_size=PAGE_SIZE,
                           buffer_pool_bytes=setups.scaled(BUFFER_GB))
     engine = InnoDBEngine(sim, data_fs, log_fs, config)
@@ -188,7 +197,8 @@ def run_mirror(mirror, barriers=False, clients=CLIENTS,
 
 
 def run_interface(interface, sq=1, barriers=False, clients=CLIENTS,
-                  ops_per_client=None, queue_depth=None):
+                  ops_per_client=None, queue_depth=None,
+                  world=setups.WorldConfig(), sims=None):
     """One interface-sweep cell: the width-1 world behind an explicit
     queue model.
 
@@ -196,25 +206,21 @@ def run_interface(interface, sq=1, barriers=False, clients=CLIENTS,
     reference cell) or ``"nvme"`` with ``sq`` submission queues; under
     NVMe with several queues the log stream pins to the last SQ, so
     redo flushes never queue behind data-page writes.  Built with an
-    explicit :class:`QueueTopology` — independent of ``set_topology``,
-    so the sweep is self-describing and reruns exactly.
+    explicit :class:`~repro.host.QueueTopology` — independent of
+    ``world.queue``, so the sweep is self-describing and reruns exactly.
     """
     if ops_per_client is None:
         ops_per_client = setups.ops_scale(BASE_OPS_PER_CLIENT)
     if interface == "sata":
         sq = 1
-        model = QueueTopology(interface="sata", queue_depth=queue_depth)
-    else:
-        affinity = {"log": sq - 1} if sq > 1 else None
-        model = QueueTopology(interface="nvme", submission_queues=sq,
-                              queue_depth=queue_depth, affinity=affinity)
-    sim = setups.fresh_world()
+    model = setups.queue_topology(interface, sq, queue_depth)
+    sim = setups.fresh_world(world=world, sims=sims)
     db_bytes = setups.scaled_db_bytes()
     data_target, _members = setups.make_data_target(
-        sim, DEVICE_KIND, int(db_bytes * 2.5), width=1)
+        sim, DEVICE_KIND, int(db_bytes * 2.5), width=1, world=world)
     log_device = setups.make_device(
         sim, DEVICE_KIND, capacity_bytes=max(units.GIB, db_bytes // 4),
-        name="%s.log" % DEVICE_KIND)
+        name="%s.log" % DEVICE_KIND, world=world)
     data_fs = FileSystem(sim, data_target, barriers=barriers,
                          queue_model=model)
     log_fs = FileSystem(sim, log_device, barriers=barriers,
@@ -230,13 +236,15 @@ def run_interface(interface, sq=1, barriers=False, clients=CLIENTS,
 
 
 def run_all(widths=WIDTHS, ops_per_client=None, ablation=True,
-            sq_counts=SQ_COUNTS):
-    """The full sweep; returns the JSON-ready report dict."""
+            sq_counts=SQ_COUNTS, world=setups.WorldConfig(), sims=None):
+    """The full sweep, every cell built as ``world``; returns the
+    JSON-ready report dict."""
     throughput = []
     for label, barriers in MODES:
         for width in widths:
             record = run_width(width, barriers,
-                               ops_per_client=ops_per_client)
+                               ops_per_client=ops_per_client, world=world,
+                               sims=sims)
             throughput.append(record)
             print("  %-13s width=%d  %8.0f tps  p99=%.2fms  "
                   "(sim %.2fs, wall %.1fs)"
@@ -249,13 +257,14 @@ def run_all(widths=WIDTHS, ops_per_client=None, ablation=True,
         for colocated in (False, True):
             record = run_placement(colocated, width=max(
                 w for w in widths if w <= ABLATION_WIDTH),
-                ops_per_client=ops_per_client)
+                ops_per_client=ops_per_client, world=world, sims=sims)
             placement.append(record)
             print("  log %-10s width=%d  %8.0f tps  p99=%.2fms"
                   % (record["config"], record["width"], record["tps"],
                      record["p99_write_s"] * 1e3))
         for mirror in (1, MIRROR_WIDTH):
-            record = run_mirror(mirror, ops_per_client=ops_per_client)
+            record = run_mirror(mirror, ops_per_client=ops_per_client,
+                                world=world, sims=sims)
             mirroring.append(record)
             print("  mirror=%d      %8.0f tps  p99=%.2fms"
                   % (mirror, record["tps"],
@@ -265,7 +274,8 @@ def run_all(widths=WIDTHS, ops_per_client=None, ablation=True,
         cells = [("sata", 1)] + [("nvme", sq) for sq in sq_counts]
         for interface, sq in cells:
             record = run_interface(interface, sq,
-                                   ops_per_client=ops_per_client)
+                                   ops_per_client=ops_per_client,
+                                   world=world, sims=sims)
             interfaces.append(record)
             print("  %-5s sq=%d     %8.0f tps  p99=%.2fms"
                   % (interface, sq, record["tps"],
@@ -335,47 +345,28 @@ def format_table(report):
     return "\n".join(lines)
 
 
-def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in ("-h", "--help"):
-        print(__doc__)
-        return 0
-    out_path = "BENCH_scaling.json"
-    if "--out" in argv:
-        index = argv.index("--out")
-        out_path = argv[index + 1]
-        del argv[index:index + 2]
-    smoke = "--smoke" in argv
-    if smoke:
-        argv.remove("--smoke")
-    ops = None
-    if "--ops" in argv:
-        index = argv.index("--ops")
-        ops = int(argv[index + 1])
-        del argv[index:index + 2]
-    interface = "sata"
-    if "--interface" in argv:
-        index = argv.index("--interface")
-        interface = argv[index + 1]
-        del argv[index:index + 2]
-    submission_queues = None
-    if "--sq" in argv:
-        index = argv.index("--sq")
-        submission_queues = int(argv[index + 1])
-        del argv[index:index + 2]
-    queue_depth = None
-    if "--queue-depth" in argv:
-        index = argv.index("--queue-depth")
-        queue_depth = int(argv[index + 1])
-        del argv[index:index + 2]
-    if interface != "sata" or submission_queues is not None \
-            or queue_depth is not None:
-        # Re-shape the width/placement/mirror cells too: the whole
-        # sweep then runs behind the requested host interface.
-        setups.set_topology(interface=interface,
-                            submission_queues=submission_queues,
-                            queue_depth=queue_depth)
-    if smoke:
+def main(argv=None, sims=None):
+    """``python -m repro scaling``; armed simulators (``--profile`` /
+    ``--metrics-interval``) are appended to ``sims`` for the caller to
+    report."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro scaling", parents=[setups.world_parser()],
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", default="BENCH_scaling.json",
+                        help="JSON report path")
+    parser.add_argument("--smoke", action="store_true",
+                        help="CI sweep: widths 1/2, sq 1/2, tiny ops")
+    parser.add_argument("--ops", type=int, help="operations per client")
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    world = setups.world_config(parser, args)
+    if world.gray_faults is not None or world.data_devices > 1 \
+            or world.mirror > 1 or world.dedicated_log:
+        parser.error("scaling sweeps stripe width, mirroring and log "
+                     "placement itself, on healthy devices: --gray-faults, "
+                     "--devices, --mirror and --log-device do not apply")
+    ops = args.ops
+    if args.smoke:
         widths = (1, 2)
         sq_counts = (1, 2)
         ops = ops if ops is not None else 12
@@ -383,12 +374,12 @@ def main(argv=None):
         widths = WIDTHS
         sq_counts = SQ_COUNTS
     report = run_all(widths=widths, ops_per_client=ops,
-                     sq_counts=sq_counts)
+                     sq_counts=sq_counts, world=world, sims=sims)
     print()
     print(format_table(report))
-    with open(out_path, "w") as handle:
+    with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
-    print("\nwrote %s" % out_path)
+    print("\nwrote %s" % args.out)
     # The acceptance gate: host striping must help where the durable
     # cache removes the flush bottleneck.
     durable = {r["width"]: r["tps"] for r in report["throughput"]

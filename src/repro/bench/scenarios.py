@@ -9,7 +9,8 @@ iteration) so existing call sites keep working.
 Two sets live here because several CLIs share them:
 
 * :data:`TRACED` — the small traced benchmark worlds (``repro trace``
-  and ``repro monitor`` run these);
+  and ``repro monitor`` run these), each ``fn(telemetry, world)`` with
+  an optional :class:`~repro.bench.setups.WorldConfig`;
 * :data:`GRAY_PROFILES` — the named gray-fault profiles (``repro
   chaos``, ``--gray-faults`` on benches, ``repro monitor``);
 * :data:`CORRUPTION_PROFILES` — the named silent-corruption profiles
@@ -87,40 +88,40 @@ class ScenarioSet:
 TRACED = ScenarioSet("traced")
 
 
-def _trace_table1(telemetry):
+def _trace_table1(telemetry, world=setups.WorldConfig()):
     """One Table 1 fio cell: DuraSSD, cache on, fsync every 8 writes."""
     from .table1 import measure_cell
     iops = measure_cell("durassd", "on", 8, ios=setups.ops_scale(200),
-                        telemetry=telemetry)
+                        telemetry=telemetry, world=world)
     return "fio 4KB randwrite, durassd/on, fsync=8: %.0f IOPS" % iops
 
 
-def _trace_figure5(telemetry):
+def _trace_figure5(telemetry, world=setups.WorldConfig()):
     """One LinkBench run: MySQL defaults (ON/ON), 16KB pages."""
     from .figure5 import run_config
     result = run_config(True, True, 16 * units.KIB, clients=16,
                         ops_per_client=max(8, setups.ops_scale(12)),
-                        telemetry=telemetry)
+                        telemetry=telemetry, world=world)
     return "LinkBench ON/ON 16KB, 16 clients: %.0f TPS" % result.tps
 
 
-def _trace_table3(telemetry):
+def _trace_table3(telemetry, world=setups.WorldConfig()):
     """The latency-tail configuration of Table 3 (ON/ON, 16KB)."""
     from .figure5 import run_config
     result = run_config(True, True, 16 * units.KIB, clients=16,
                         ops_per_client=max(8, setups.ops_scale(12)),
-                        telemetry=telemetry)
+                        telemetry=telemetry, world=world)
     return ("LinkBench ON/ON 16KB: write mean %.1f ms, p99 %.1f ms"
             % (result.writes.mean * 1e3,
                result.writes.percentile(0.99) * 1e3))
 
 
-def _trace_bursts(telemetry):
+def _trace_bursts(telemetry, world=setups.WorldConfig()):
     """Write burst absorbed by DuraSSD with barriers off."""
     from .bursts import run_one
     outcome = run_one(make_durassd, False, 8,
                       burst_writes=setups.ops_scale(200),
-                      telemetry=telemetry)
+                      telemetry=telemetry, world=world)
     return ("burst drained in %.3f s; read p99 %.2f ms"
             % (outcome["burst_seconds"], outcome["read_p99_ms"]))
 

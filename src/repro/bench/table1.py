@@ -35,12 +35,13 @@ ROWS = [
 ]
 
 
-def measure_cell(device_kind, mode, fsync_period, ios=None, telemetry=None):
+def measure_cell(device_kind, mode, fsync_period, ios=None, telemetry=None,
+                 world=setups.WorldConfig(), sims=None):
     """One fio run; returns IOPS."""
-    sim = setups.fresh_world(telemetry)
+    sim = setups.fresh_world(telemetry, world, sims)
     cache_enabled = mode != "off"
     device = setups.make_device(sim, device_kind,
-                                cache_enabled=cache_enabled)
+                                cache_enabled=cache_enabled, world=world)
     barriers = mode != "nobarrier"
     filesystem = FileSystem(sim, device, barriers=barriers)
     if ios is None:
@@ -66,19 +67,20 @@ def _ios_for(device_kind, mode, fsync_period):
 TRACED_CELL = ("durassd", "on", 8)
 
 
-def run(telemetry=None):
+def run(telemetry=None, world=setups.WorldConfig(), sims=None):
     """Measure the full table; returns {(device, mode): [iops...]}.
 
     ``telemetry`` (optional, one enabled hub) is threaded into the
     :data:`TRACED_CELL` run; tracing adds no simulation events, so the
-    traced cell's IOPS are unchanged.
+    traced cell's IOPS are unchanged.  Every cell is built as ``world``
+    and armed simulators are appended to ``sims``.
     """
     results = {}
     for device_kind, mode in ROWS:
         results[(device_kind, mode)] = [
             measure_cell(device_kind, mode, period,
                          telemetry=telemetry if (device_kind, mode, period)
-                         == TRACED_CELL else None)
+                         == TRACED_CELL else None, world=world, sims=sims)
             for period in FSYNC_PERIODS]
     return results
 
@@ -94,8 +96,8 @@ def format_table(results):
         "Table 1: 4KB random-write IOPS vs writes-per-fsync", headers, rows)
 
 
-def main(telemetry=None):
-    print(format_table(run(telemetry)))
+def main(telemetry=None, world=setups.WorldConfig(), sims=None):
+    print(format_table(run(telemetry, world, sims)))
 
 
 if __name__ == "__main__":

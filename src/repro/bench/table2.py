@@ -5,6 +5,8 @@ every 256 writes, and 128 threads with nobarrier.  HDD: read-only and
 write-only at 128 threads.  Page sizes 16/8/4KB.
 """
 
+from functools import partial
+
 from ..host import FileSystem, FioJob, run_fio
 from ..sim import units
 from . import setups
@@ -25,10 +27,10 @@ PAPER_HDD = {
 
 
 def _measure(device_kind, rw, numjobs, fsync_every, barriers, page_size,
-             cache_enabled=True):
-    sim = setups.fresh_world()
+             cache_enabled=True, world=setups.WorldConfig(), sims=None):
+    sim = setups.fresh_world(world=world, sims=sims)
     device = setups.make_device(sim, device_kind,
-                                cache_enabled=cache_enabled)
+                                cache_enabled=cache_enabled, world=world)
     filesystem = FileSystem(sim, device, barriers=barriers)
     per_job = setups.ops_scale(60 if numjobs > 1 else 400)
     if device_kind == "hdd":
@@ -39,28 +41,29 @@ def _measure(device_kind, rw, numjobs, fsync_every, barriers, page_size,
     return run_fio(sim, filesystem, job).iops
 
 
-def run():
+def run(world=setups.WorldConfig(), sims=None):
     """Returns {section: {row_label: [iops per page size]}}."""
+    measure = partial(_measure, world=world, sims=sims)
     durassd = {
         "read-only (128 thr)": [
-            _measure("durassd", "randread", 128, 0, True, ps)
+            measure("durassd", "randread", 128, 0, True, ps)
             for ps in PAGE_SIZES],
         "write-only (1-fsync)": [
-            _measure("durassd", "randwrite", 1, 1, True, ps)
+            measure("durassd", "randwrite", 1, 1, True, ps)
             for ps in PAGE_SIZES],
         "write-only (256-fsync)": [
-            _measure("durassd", "randwrite", 1, 256, True, ps)
+            measure("durassd", "randwrite", 1, 256, True, ps)
             for ps in PAGE_SIZES],
         "write-only (128 nobarrier)": [
-            _measure("durassd", "randwrite", 128, 0, False, ps)
+            measure("durassd", "randwrite", 128, 0, False, ps)
             for ps in PAGE_SIZES],
     }
     hdd = {
         "read-only (128 thr)": [
-            _measure("hdd", "randread", 128, 0, True, ps)
+            measure("hdd", "randread", 128, 0, True, ps)
             for ps in PAGE_SIZES],
         "write-only (128 thr)": [
-            _measure("hdd", "randwrite", 128, 0, True, ps)
+            measure("hdd", "randwrite", 128, 0, True, ps)
             for ps in PAGE_SIZES],
     }
     return {"durassd": durassd, "hdd": hdd}
@@ -81,8 +84,8 @@ def format_table(results):
     return "\n\n".join(out)
 
 
-def main():
-    print(format_table(run()))
+def main(world=setups.WorldConfig(), sims=None):
+    print(format_table(run(world, sims)))
 
 
 if __name__ == "__main__":

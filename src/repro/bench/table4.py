@@ -20,10 +20,11 @@ PAPER = {
 }
 
 
-def run_config(barrier, page_size, clients=64, txns_per_client=None):
-    sim = setups.fresh_world()
+def run_config(barrier, page_size, clients=64, txns_per_client=None,
+               world=setups.WorldConfig(), sims=None):
+    sim = setups.fresh_world(world=world, sims=sims)
     engine, _devices = setups.commercial_setup(sim, page_size, barrier,
-                                               buffer_gb=2)
+                                               buffer_gb=2, world=world)
     workload = TPCCWorkload(engine, TPCCConfig(scale=setups.scale_factor()))
     if txns_per_client is None:
         txns_per_client = setups.ops_scale(80)
@@ -31,9 +32,9 @@ def run_config(barrier, page_size, clients=64, txns_per_client=None):
                         warmup_txns=15)
 
 
-def run():
+def run(world=setups.WorldConfig(), sims=None):
     """{barrier: [TPCCResult per page size]}"""
-    return {barrier: [run_config(barrier, page_size)
+    return {barrier: [run_config(barrier, page_size, world=world, sims=sims)
                       for page_size in PAGE_SIZES]
             for barrier in (True, False)}
 
@@ -52,8 +53,8 @@ def format_table(results):
                     % " / ".join("%.1fx" % g for g in gains))
 
 
-def main():
-    print(format_table(run()))
+def main(world=setups.WorldConfig(), sims=None):
+    print(format_table(run(world, sims)))
 
 
 if __name__ == "__main__":

@@ -21,9 +21,11 @@ PAPER = {
 }
 
 
-def run_config(barrier, update_fraction, batch_size, ops=None):
-    sim = setups.fresh_world()
-    engine, _devices = setups.couchbase_setup(sim, batch_size, barrier)
+def run_config(barrier, update_fraction, batch_size, ops=None,
+               world=setups.WorldConfig(), sims=None):
+    sim = setups.fresh_world(world=world, sims=sims)
+    engine, _devices = setups.couchbase_setup(sim, batch_size, barrier,
+                                              world=world)
     workload = YCSBWorkload(engine, YCSBConfig(
         "A", update_fraction=update_fraction,
         record_count=setups.scaled_db_bytes() // 1024))
@@ -32,13 +34,14 @@ def run_config(barrier, update_fraction, batch_size, ops=None):
     return workload.run(clients=1, ops_per_client=ops, warmup_ops=30)
 
 
-def run():
+def run(world=setups.WorldConfig(), sims=None):
     """{(barrier, update_fraction): [ops/s per batch size]}"""
     results = {}
     for barrier in (True, False):
         for update_fraction in (1.0, 0.5):
             results[(barrier, update_fraction)] = [
-                run_config(barrier, update_fraction, batch).ops_per_second
+                run_config(barrier, update_fraction, batch, world=world,
+                           sims=sims).ops_per_second
                 for batch in BATCH_SIZES]
     return results
 
@@ -61,8 +64,8 @@ def format_table(results):
                     % (on_gap, off_gap))
 
 
-def main():
-    print(format_table(run()))
+def main(world=setups.WorldConfig(), sims=None):
+    print(format_table(run(world, sims)))
 
 
 if __name__ == "__main__":

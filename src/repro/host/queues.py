@@ -28,6 +28,8 @@ layers carry around: it describes *which* model to build per device
 single owner of the queue-depth default.
 """
 
+import json
+
 from ..sim.resources import Resource
 from .lifecycle import CommandLifecycle
 
@@ -376,6 +378,13 @@ class QueueTopology:
     @classmethod
     def from_json(cls, data):
         return cls(**data)
+
+    def __eq__(self, other):
+        return (isinstance(other, QueueTopology)
+                and self.to_json() == other.to_json())
+
+    def __hash__(self):
+        return hash(json.dumps(self.to_json(), sort_keys=True))
 
 
 def resolve_queue_model(queue_model, queue_depth=None, ordered_queue=True,

@@ -14,7 +14,12 @@ from .engine import (
 from .profiler import SimProfiler
 from .resources import Mutex, Resource, Store
 from .rng import ScrambledZipfGenerator, UniformGenerator, ZipfGenerator, make_rng
-from .stats import CounterSet, LatencyRecorder, ThroughputMeter
+from .stats import (
+    CounterSet,
+    LatencyRecorder,
+    ThroughputMeter,
+    render_latency_histogram,
+)
 from . import units
 
 __all__ = [
@@ -38,5 +43,6 @@ __all__ = [
     "UniformGenerator",
     "ZipfGenerator",
     "make_rng",
+    "render_latency_histogram",
     "units",
 ]

@@ -1,6 +1,9 @@
 """Unit tests for the bench plumbing (table rendering, setups, cells)."""
 
+import dataclasses
+import json
 import os
+import pickle
 
 import pytest
 
@@ -74,6 +77,88 @@ class TestSetups:
                                                  barriers=False)
         assert engine.config.batch_size == 10
         assert len(devices) == 1
+
+
+class TestWorldConfig:
+    CONFIGS = {
+        "default": setups.WorldConfig(),
+        "striped-nvme": setups.WorldConfig(
+            data_devices=4, queue=setups.queue_topology("nvme", 4, 64)),
+        "mirrored-gray": setups.WorldConfig(
+            gray_faults="stalls", mirror=2, metrics_interval=0.01,
+            profile=True),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_json_and_pickle_round_trip(self, name):
+        config = self.CONFIGS[name]
+        text = json.dumps(config.to_json())
+        assert setups.WorldConfig.from_json(json.loads(text)) == config
+        assert pickle.loads(pickle.dumps(config)) == config
+        assert hash(pickle.loads(pickle.dumps(config))) == hash(config)
+
+    def test_frozen_with_exactly_the_world_fields(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setups.WorldConfig().mirror = 2
+        assert [field.name for field in dataclasses.fields(
+            setups.WorldConfig)] == [
+            "gray_faults", "data_devices", "mirror", "dedicated_log",
+            "queue", "metrics_interval", "profile"]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"data_devices": 0}, {"mirror": 0},
+        {"mirror": 2, "data_devices": 2}, {"metrics_interval": 0.0}])
+    def test_rejects_invalid_worlds(self, kwargs):
+        with pytest.raises(ValueError):
+            setups.WorldConfig(**kwargs)
+        with pytest.raises(KeyError):
+            setups.WorldConfig(gray_faults="no-such-profile")
+
+    def test_gray_worlds_arm_the_timeout_stack(self):
+        assert setups.WorldConfig().timeout_policy() is None
+        assert setups.WorldConfig(
+            gray_faults="mild").timeout_policy() is not None
+
+    def test_nvme_pins_the_log_stream_to_the_last_queue(self):
+        assert setups.queue_topology("nvme", 4).affinity == {"log": 3}
+        assert setups.queue_topology("nvme", 1).affinity is None
+        assert setups.queue_topology("sata", 4).interface == "sata"
+
+    def test_flags_build_the_config(self):
+        parser = setups.world_parser()
+
+        def parse(*argv):
+            return setups.world_config(parser, parser.parse_args(argv))
+
+        assert parse() == setups.WorldConfig()
+        assert parse("--gray-faults", "none") == setups.WorldConfig()
+        assert parse("--interface", "sata", "--sq", "4") \
+            == setups.WorldConfig()
+        assert parse("--devices", "2", "--interface", "nvme", "--sq", "2",
+                     "--log-device", "--profile") == setups.WorldConfig(
+            data_devices=2, dedicated_log=True, profile=True,
+            queue=setups.queue_topology("nvme", 2))
+        assert parse("--queue-depth", "64").queue \
+            == setups.queue_topology("sata", queue_depth=64)
+
+    def test_gray_schedule_does_not_depend_on_build_order(self):
+        world = setups.WorldConfig(gray_faults="stalls")
+
+        def stall_draws():
+            sim = setups.fresh_world(world=world)
+            _engine, devices = setups.mysql_setup(
+                sim, 16 * units.KIB, barriers=False, doublewrite=False,
+                world=world)
+            return {device.name: [device.gray_faults.command_delay(
+                "write", 0.0) for _ in range(64)] for device in devices}
+
+        alone = stall_draws()
+        stall_draws()  # another world built in between
+        assert stall_draws() == alone
+        # the data and log drives still stall at different instants
+        assert sorted(alone) == ["durassd", "durassd.log"]
+        assert alone["durassd"] != alone["durassd.log"]
+        assert any(alone["durassd"])
 
 
 class TestTable1Cells:

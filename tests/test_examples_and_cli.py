@@ -69,3 +69,21 @@ def test_cli_runs_one_experiment():
     assert result.returncode == 0
     assert "Table 2" in result.stdout
     assert "(paper)" in result.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--gray-faults"],
+    ["table1", "--devices"],
+    ["table1", "--metrics-interval", "abc"],
+    ["scaling", "--bogus"],
+], ids=["gray-faults-no-value", "devices-no-value",
+        "metrics-interval-not-a-number", "scaling-unknown-flag"])
+def test_cli_rejects_malformed_flags(argv):
+    env = dict(os.environ)
+    env["REPRO_QUICK"] = "1"
+    result = subprocess.run([sys.executable, "-m", "repro"] + argv,
+                            capture_output=True, text=True, timeout=120,
+                            env=env, cwd=REPO_ROOT)
+    assert result.returncode == 2
+    assert "usage:" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -215,27 +215,23 @@ class TestSummaryAndAggregate:
 
 
 class TestBenchArming:
-    def test_set_profile_arms_fresh_worlds(self):
+    def test_profile_config_arms_fresh_worlds(self):
         from repro.bench import setups
-        setups.set_profile(True)
-        try:
-            sim = setups.fresh_world()
-            assert sim._profiler is not None
-            assert setups.profilers() == [sim._profiler]
-        finally:
-            setups.set_profile(False)
-        assert setups.fresh_world()._profiler is None
-        assert setups.profilers() == []
+        sims = []
+        sim = setups.fresh_world(world=setups.WorldConfig(profile=True),
+                                 sims=sims)
+        assert sim._profiler is not None
+        assert sim.telemetry.profiler is sim._profiler
+        assert sims == [sim]
+        # the default world stays unprofiled and collects nothing
+        assert setups.fresh_world(sims=sims)._profiler is None
+        assert sims == [sim]
 
-    def test_set_profile_rides_explicit_hub(self):
+    def test_profile_config_rides_explicit_hub(self):
         from repro.bench import setups
-        setups.set_profile(True)
-        try:
-            telemetry = Telemetry(enabled=False)
-            sim = setups.fresh_world(telemetry)
-            assert telemetry.profiler is sim._profiler
-        finally:
-            setups.set_profile(False)
+        telemetry = Telemetry(enabled=False)
+        sim = setups.fresh_world(telemetry, setups.WorldConfig(profile=True))
+        assert telemetry.profiler is sim._profiler
 
 
 class TestProfileReport:

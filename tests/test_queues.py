@@ -20,7 +20,6 @@ import pytest
 from repro.db import InnoDBConfig, InnoDBEngine
 from repro.devices import IORequest, make_durassd, make_ssd_a
 from repro.host import (
-    CommandQueue,
     FileSystem,
     NvmeMultiQueue,
     QueueModel,
@@ -37,8 +36,7 @@ from conftest import run_process
 
 class TestProtocol:
     def test_command_queue_is_the_sata_model(self):
-        """The legacy name keeps working for every existing import."""
-        assert CommandQueue is SataNcq
+        """Each queue model names the host interface it implements."""
         assert SataNcq.interface == "sata"
         assert NvmeMultiQueue.interface == "nvme"
 

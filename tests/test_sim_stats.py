@@ -1,4 +1,5 @@
-"""Unit tests for latency and throughput statistics."""
+"""Unit tests for latency and throughput statistics and the latency
+histogram."""
 
 import math
 from fractions import Fraction
@@ -7,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import CounterSet, LatencyRecorder, ThroughputMeter
+from repro.sim import (
+    CounterSet,
+    LatencyRecorder,
+    ThroughputMeter,
+    render_latency_histogram,
+)
 
 
 class TestLatencyRecorder:
@@ -181,3 +187,40 @@ class TestSortedCache:
         merged = left.merged_with(right)
         assert merged.sorted_samples() == [0.1, 0.2, 0.3]
         assert merged.percentile(1.0) == 0.3
+
+
+class TestHistogram:
+    def test_renders_buckets(self):
+        recorder = LatencyRecorder()
+        recorder.extend([0.001, 0.001, 0.002, 0.01, 0.1])
+        text = render_latency_histogram(recorder, buckets=5)
+        assert "#" in text
+        assert "ms" in text
+        assert len(text.splitlines()) == 5
+
+    def test_empty_recorder(self):
+        assert render_latency_histogram(LatencyRecorder()) == "(no samples)"
+
+    def test_single_value(self):
+        recorder = LatencyRecorder()
+        recorder.record(0.005)
+        text = render_latency_histogram(recorder, buckets=3)
+        assert text.count("#") > 0
+
+
+class TestHistogramBuckets:
+    def test_counts_cover_every_sample(self):
+        recorder = LatencyRecorder()
+        recorder.extend([0.0001 * (i + 1) for i in range(37)])
+        text = render_latency_histogram(recorder, buckets=6)
+        counts = [int(line.rsplit(" ", 1)[1]) for line in text.splitlines()]
+        assert sum(counts) == 37
+
+    def test_extremes_land_in_end_buckets(self):
+        recorder = LatencyRecorder()
+        recorder.extend([0.001] * 4 + [0.5] * 3)
+        text = render_latency_histogram(recorder, buckets=4)
+        counts = [int(line.rsplit(" ", 1)[1]) for line in text.splitlines()]
+        assert counts[0] == 4
+        assert counts[-1] == 3
+        assert sum(counts) == 7
