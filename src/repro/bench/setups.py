@@ -264,8 +264,8 @@ def fresh_world(telemetry=None, world=WorldConfig(), sims=None):
     whatever hub the world ends up with.  A simulator armed either way
     is appended to ``sims`` (when given) so the caller can export its
     series or profile after the run.  The default world gets neither:
-    the profiler attaches by instance-level override, so the off path
-    costs nothing, and every metrics instrument is a shared no-op.
+    the off path costs the event loop one ``None`` test per event, and
+    every metrics instrument is a shared no-op.
     """
     armed = False
     if telemetry is None and world.metrics_interval is not None:
