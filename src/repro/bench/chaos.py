@@ -23,15 +23,18 @@ engine to read-only instead of deadlocking.  Failing runs are minimized
 to replayable JSON artifacts with ``--out``.
 """
 
+import argparse
 import json
-import sys
 import time
 
+from ..devices import DEVICE_MAKERS
 from ..failures import chaos as harness
+from ..failures.torture import ENGINES
+from ..host.queues import INTERFACES
 from . import setups
 from .scenarios import CORRUPTION_PROFILES, DEATH_PROFILES, GRAY_PROFILES
 
-DEVICES = ("hdd", "ssd-a", "ssd-b", "durassd")
+DEVICES = tuple(DEVICE_MAKERS)
 
 #: curable profiles every smoke device is swept with
 SMOKE_PROFILES = ("mild", "gc-storm", "pause", "hang")
@@ -268,89 +271,83 @@ def replay(path):
     return 1 if (result.failed or not result.completed) else 0
 
 
-def _print_profiles():
+def _profiles_text():
     """Every named fault profile the chaos harness can inject."""
-    print("gray-fault profiles (--profile NAME):")
-    for line in GRAY_PROFILES.listing():
-        print(line)
-    print("corruption profiles (--corruption NAME):")
-    for line in CORRUPTION_PROFILES.listing():
-        print(line)
-    print("death profiles (--death NAME):")
-    for line in DEATH_PROFILES.listing():
-        print(line)
+    lines = ["gray-fault profiles (--profile NAME):"]
+    lines += GRAY_PROFILES.listing()
+    lines.append("corruption profiles (--corruption NAME):")
+    lines += CORRUPTION_PROFILES.listing()
+    lines.append("death profiles (--death NAME):")
+    lines += DEATH_PROFILES.listing()
+    return "\n".join(lines)
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in ("-h", "--help"):
-        print(__doc__)
-        _print_profiles()
+    parser = argparse.ArgumentParser(
+        prog="python -m repro chaos", description=__doc__,
+        epilog=_profiles_text(),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("engine", nargs="?", default="innodb",
+                        choices=ENGINES)
+    parser.add_argument("device", nargs="?", default="durassd",
+                        choices=DEVICES)
+    parser.add_argument("--smoke", action="store_true",
+                        help="CI gate: every device preset, quick")
+    parser.add_argument("--list-profiles", action="store_true",
+                        help="print every fault profile and exit")
+    parser.add_argument("--replay", metavar="PATH",
+                        help="re-run a minimized chaos artifact")
+    parser.add_argument("--ops", type=int, help="operations per run")
+    parser.add_argument("--seed", type=int,
+                        help="first seed (default 0; 11 with --smoke)")
+    parser.add_argument("--seeds", type=int, default=1, metavar="N",
+                        help="runs per profile")
+    parser.add_argument("--profile", metavar="NAME",
+                        choices=GRAY_PROFILES.names(),
+                        help="one gray-fault profile (default: all but none)")
+    parser.add_argument("--out", metavar="PATH",
+                        help="minimized repro artifact path")
+    parser.add_argument("--corruption", metavar="NAME",
+                        choices=CORRUPTION_PROFILES.names())
+    parser.add_argument("--mirror", type=int, default=1, metavar="N",
+                        help="mirror the data target across N replicas")
+    parser.add_argument("--death", metavar="NAME",
+                        choices=DEATH_PROFILES.names())
+    parser.add_argument("--death-target", default="data", metavar="TARGET",
+                        help="data, log, all or data:N (default data)")
+    parser.add_argument("--spares", type=int, default=0, metavar="N",
+                        help="hot spares for the mirror")
+    parser.add_argument("--interface", choices=INTERFACES, default="sata",
+                        help="host queue model")
+    parser.add_argument("--sq", type=int, default=2, metavar="N",
+                        help="NVMe submission queues")
+    args = parser.parse_args(argv)
+    if args.ops is not None and args.ops < 1:
+        parser.error("--ops must be >= 1")
+    if args.list_profiles:
+        print(_profiles_text())
         return 0
-    if "--list-profiles" in argv:
-        _print_profiles()
-        return 0
-
-    def take_option(name, default=None):
-        if name in argv:
-            index = argv.index(name)
-            value = argv[index + 1]
-            del argv[index:index + 2]
-            return value
-        return default
-
-    smoke_mode = "--smoke" in argv
-    if smoke_mode:
-        argv.remove("--smoke")
-    replay_path = take_option("--replay")
-    ops = take_option("--ops")
-    seed = int(take_option("--seed", "0"))
-    seeds = int(take_option("--seeds", "1"))
-    profile = take_option("--profile")
-    out_path = take_option("--out")
-    corruption = take_option("--corruption")
-    mirror = int(take_option("--mirror", "1"))
-    death = take_option("--death")
-    death_target = take_option("--death-target", "data")
-    spares = int(take_option("--spares", "0"))
-    interface = take_option("--interface", "sata")
-    submission_queues = int(take_option("--sq", "2"))
-    if replay_path:
-        return replay(replay_path)
-    if smoke_mode:
-        return smoke(ops=int(ops) if ops else None,
-                     seed=seed if seed else 11)
-    engine = argv[0] if argv else "innodb"
-    device = argv[1] if len(argv) > 1 else "durassd"
-    ops = int(ops) if ops else setups.ops_scale(120)
-    if profile and profile not in GRAY_PROFILES:
-        print("no gray-fault profile %r (have: %s)"
-              % (profile, ", ".join(GRAY_PROFILES.names())))
-        return 2
-    if corruption and corruption not in CORRUPTION_PROFILES:
-        print("no corruption profile %r (have: %s)"
-              % (corruption, ", ".join(CORRUPTION_PROFILES.names())))
-        return 2
-    if death and death not in DEATH_PROFILES:
-        print("no death profile %r (have: %s)"
-              % (death, ", ".join(DEATH_PROFILES.names())))
-        return 2
-    if (corruption or death) and not profile:
+    if args.replay:
+        return replay(args.replay)
+    if args.smoke:
+        return smoke(ops=args.ops, seed=11 if args.seed is None else args.seed)
+    if (args.corruption or args.death) and not args.profile:
         # corruption or death alone is a valid chaos run: default the
         # gray-fault dimension to the healthy control instead of
         # sweeping it.
         profiles = ["none"]
     else:
-        profiles = [profile] if profile else [name for name in GRAY_PROFILES
-                                              if name != "none"]
+        profiles = [args.profile] if args.profile \
+            else [name for name in GRAY_PROFILES if name != "none"]
+    ops = setups.ops_scale(120) if args.ops is None else args.ops
     exit_code = 0
     for name in profiles:
-        code = sweep_seeds(engine, device, name, seeds, ops,
-                           base_seed=seed, out_path=out_path,
-                           corruption=corruption, mirror=mirror,
-                           death=death, death_target=death_target,
-                           spares=spares, interface=interface,
-                           submission_queues=submission_queues)
+        code = sweep_seeds(args.engine, args.device, name, args.seeds, ops,
+                           base_seed=args.seed or 0, out_path=args.out,
+                           corruption=args.corruption, mirror=args.mirror,
+                           death=args.death, death_target=args.death_target,
+                           spares=args.spares, interface=args.interface,
+                           submission_queues=args.sq)
         exit_code = exit_code or code
     return exit_code
 

@@ -20,7 +20,6 @@ stay under 1%), so CI can gate on it.
 """
 
 import json
-import sys
 
 from ..sim import units
 from ..telemetry import Telemetry
@@ -80,52 +79,31 @@ def run_scenario(name, quick=False, top_k=5):
     return report_mod.build(name, modes, meta=meta, top_k=top_k)
 
 
-def main(argv):
-    args = list(argv)
-    if not args or args[0] in ("-h", "--help", "list"):
-        print(__doc__)
-        print("scenarios:")
-        for line in SCENARIOS.listing():
-            print(line)
+def main(argv=None):
+    parser = SCENARIOS.parser("explain", __doc__)
+    parser.add_argument("--quick", action="store_true",
+                        help="10 operations per client")
+    parser.add_argument("--json", metavar="PATH", help="JSON report path")
+    parser.add_argument("--out", metavar="PATH",
+                        help="markdown report path (default stdout)")
+    parser.add_argument("--top", type=int, default=5, metavar="K",
+                        help="slowest requests to annotate per mode")
+    args = parser.parse_args(argv)
+    if args.scenario == "list":
+        parser.print_help()
         return 0
-    name = args.pop(0)
-    quick, json_path, out_path, top_k = False, None, None, 5
-    while args:
-        flag = args.pop(0)
-        if flag in ("--json", "--out", "--top") and not args:
-            print("%s requires a value" % flag)
-            return 2
-        if flag == "--quick":
-            quick = True
-        elif flag == "--json":
-            json_path = args.pop(0)
-        elif flag == "--out":
-            out_path = args.pop(0)
-        elif flag == "--top":
-            try:
-                top_k = int(args.pop(0))
-            except ValueError:
-                print("--top wants an integer")
-                return 2
-        else:
-            print("unknown option: %r" % flag)
-            return 2
-    try:
-        report = run_scenario(name, quick=quick, top_k=top_k)
-    except KeyError as error:
-        print(error.args[0])
-        return 2
+    report = run_scenario(args.scenario, quick=args.quick, top_k=args.top)
     markdown = report_mod.render_markdown(report)
-    if out_path is not None:
-        with open(out_path, "w") as handle:
+    if args.out is not None:
+        with open(args.out, "w") as handle:
             handle.write(markdown)
-        print("wrote %s" % out_path)
+        print("wrote %s" % args.out)
     else:
         print(markdown)
-    if json_path is not None:
-        with open(json_path, "w") as handle:
+    if args.json is not None:
+        with open(args.json, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
-        print("wrote %s" % json_path)
+        print("wrote %s" % args.json)
     problems = report_mod.check(report)
     if problems:
         for problem in problems:
@@ -139,4 +117,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

@@ -23,7 +23,7 @@ kills the survivor mid-rebuild: it must *report detected data loss* —
 loudly, never a hang, never a silent PASS.
 """
 
-import sys
+import argparse
 import time
 
 from ..failures import chaos as harness
@@ -145,41 +145,34 @@ def smoke(seed=11, ops=None):
     return exit_code
 
 
+def pace_list(text):
+    return tuple(float(pace) for pace in text.split(","))
+
+
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in ("-h", "--help"):
-        print(__doc__)
-        print("death profiles:")
-        for line in DEATH_PROFILES.listing():
-            print(line)
-        return 0
-
-    def take_option(name, default=None):
-        if name in argv:
-            index = argv.index(name)
-            value = argv[index + 1]
-            del argv[index:index + 2]
-            return value
-        return default
-
-    smoke_mode = "--smoke" in argv
-    if smoke_mode:
-        argv.remove("--smoke")
-    ops = take_option("--ops")
-    seed = int(take_option("--seed", "11"))
-    death = take_option("--death", "mid-death")
-    paces = take_option("--pace")
-    if death not in DEATH_PROFILES or death in ("none", "double-death"):
-        usable = [name for name in DEATH_PROFILES.names()
-                  if name not in ("none", "double-death")]
-        print("no single-death profile %r (have: %s)"
-              % (death, ", ".join(usable)))
-        return 2
-    if smoke_mode:
-        return smoke(seed=seed, ops=int(ops) if ops else None)
-    return sweep(seed=seed, ops=int(ops) if ops else None, death=death,
-                 paces=(tuple(float(pace) for pace in paces.split(","))
-                        if paces else PACES))
+    parser = argparse.ArgumentParser(
+        prog="python -m repro failover", description=__doc__,
+        epilog="death profiles:\n" + "\n".join(DEATH_PROFILES.listing()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--smoke", action="store_true",
+                        help="CI gate: control, one rebuild, one double "
+                        "death")
+    parser.add_argument("--ops", type=int, help="operations per cell")
+    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--death", default="mid-death", metavar="NAME",
+                        choices=[name for name in DEATH_PROFILES.names()
+                                 if name not in ("none", "double-death")],
+                        help="single-death profile (default mid-death)")
+    parser.add_argument("--pace", type=pace_list, default=PACES,
+                        metavar="S[,S...]",
+                        help="rebuild throttles, seconds per block")
+    args = parser.parse_args(argv)
+    if args.ops is not None and args.ops < 1:
+        parser.error("--ops must be >= 1")
+    if args.smoke:
+        return smoke(seed=args.seed, ops=args.ops)
+    return sweep(seed=args.seed, ops=args.ops, death=args.death,
+                 paces=args.pace)
 
 
 if __name__ == "__main__":

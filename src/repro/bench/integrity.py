@@ -26,7 +26,7 @@ corruption-free control with the same defenses armed must stay silent
 — no alerts, no mismatches — pinning the false-positive rate at zero.
 """
 
-import sys
+import argparse
 import time
 
 from ..failures import chaos as harness
@@ -134,38 +134,27 @@ def smoke(seed=11, ops=None):
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in ("-h", "--help"):
-        print(__doc__)
-        print("corruption profiles:")
-        for line in CORRUPTION_PROFILES.listing():
-            print(line)
-        return 0
-
-    def take_option(name, default=None):
-        if name in argv:
-            index = argv.index(name)
-            value = argv[index + 1]
-            del argv[index:index + 2]
-            return value
-        return default
-
-    smoke_mode = "--smoke" in argv
-    if smoke_mode:
-        argv.remove("--smoke")
-    ops = take_option("--ops")
-    seed = int(take_option("--seed", "11"))
-    profile = take_option("--profile")
-    mirror = take_option("--mirror")
-    if profile and profile not in CORRUPTION_PROFILES:
-        print("no corruption profile %r (have: %s)"
-              % (profile, ", ".join(CORRUPTION_PROFILES.names())))
-        return 2
-    if smoke_mode:
-        return smoke(seed=seed, ops=int(ops) if ops else None)
-    return sweep(profiles=[profile] if profile else None, seed=seed,
-                 ops=int(ops) if ops else None,
-                 mirror=int(mirror) if mirror else None)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro integrity", description=__doc__,
+        epilog="corruption profiles:\n"
+        + "\n".join(CORRUPTION_PROFILES.listing()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--smoke", action="store_true",
+                        help="CI gate: one cell per defense plus control")
+    parser.add_argument("--ops", type=int, help="operations per cell")
+    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--profile", metavar="NAME",
+                        choices=CORRUPTION_PROFILES.names(),
+                        help="one corruption profile (default: all)")
+    parser.add_argument("--mirror", type=int, metavar="N",
+                        help="one defense: N replicas (1 = checksums only)")
+    args = parser.parse_args(argv)
+    if args.ops is not None and args.ops < 1:
+        parser.error("--ops must be >= 1")
+    if args.smoke:
+        return smoke(seed=args.seed, ops=args.ops)
+    return sweep(profiles=[args.profile] if args.profile else None,
+                 seed=args.seed, ops=args.ops, mirror=args.mirror)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ path) the instruments are shared no-ops and results stay byte-identical.
 """
 
 import json
-import sys
 
 from ..telemetry import (
     MetricsRegistry,
@@ -202,92 +201,61 @@ def render_markdown(report):
     return "\n".join(lines)
 
 
-def main(argv):
-    args = list(argv)
-    if not args or args[0] in ("-h", "--help", "list"):
-        print(__doc__)
-        print("scenarios:")
-        for line in TRACED.listing():
-            print(line)
-        print("\noptions: --interval SECONDS (default %g), --out PATH,"
-              "\n         --json PATH, --prom PATH, --csv PATH,"
-              "\n         --gray-faults PROFILE, --profile, --quiet"
-              % DEFAULT_INTERVAL)
+def main(argv=None):
+    parser = TRACED.parser("monitor", __doc__)
+    parser.add_argument("--interval", type=float, default=DEFAULT_INTERVAL,
+                        metavar="SECONDS",
+                        help="metrics window (default %g)" % DEFAULT_INTERVAL)
+    parser.add_argument("--out", metavar="PATH",
+                        help="markdown dashboard path (default stdout)")
+    parser.add_argument("--json", metavar="PATH", help="JSON report path")
+    parser.add_argument("--prom", metavar="PATH",
+                        help="Prometheus text exposition path")
+    parser.add_argument("--csv", metavar="PATH", help="series CSV path")
+    parser.add_argument("--gray-faults", metavar="PROFILE",
+                        choices=GRAY_PROFILES.names(),
+                        help="inject a gray-fault profile into every device")
+    parser.add_argument("--profile", action="store_true",
+                        help="attach a simulator self-profiler")
+    parser.add_argument("--quiet", action="store_true",
+                        help="do not print the dashboard")
+    args = parser.parse_args(argv)
+    if args.scenario == "list":
+        parser.print_help()
         return 0
-    name = args.pop(0)
-    interval = DEFAULT_INTERVAL
-    out_path = json_path = prom_path = csv_path = gray = None
-    quiet = profile = False
-    value_flags = ("--interval", "--out", "--json", "--prom", "--csv",
-                   "--gray-faults")
-    while args:
-        flag = args.pop(0)
-        if flag in value_flags and not args:
-            print("%s requires a value" % flag)
-            return 2
-        if flag == "--interval":
-            try:
-                interval = float(args.pop(0))
-            except ValueError:
-                print("--interval wants seconds, e.g. 0.01")
-                return 2
-            if interval <= 0:
-                print("--interval must be positive")
-                return 2
-        elif flag == "--out":
-            out_path = args.pop(0)
-        elif flag == "--json":
-            json_path = args.pop(0)
-        elif flag == "--prom":
-            prom_path = args.pop(0)
-        elif flag == "--csv":
-            csv_path = args.pop(0)
-        elif flag == "--gray-faults":
-            gray = args.pop(0)
-            if gray not in GRAY_PROFILES:
-                print("no gray-fault profile %r (have: %s)"
-                      % (gray, ", ".join(GRAY_PROFILES.names())))
-                return 2
-        elif flag == "--profile":
-            profile = True
-        elif flag == "--quiet":
-            quiet = True
-        else:
-            print("unknown option: %r" % flag)
-            return 2
+    if args.interval <= 0:
+        parser.error("--interval must be positive")
+    gray = args.gray_faults
     world = setups.WorldConfig(gray_faults=None if gray == "none" else gray)
-    try:
-        report, registry = run_scenario(name, interval=interval,
-                                        profile=profile, world=world)
-    except KeyError as error:
-        print(error.args[0])
-        return 2
+    report, registry = run_scenario(args.scenario, interval=args.interval,
+                                    profile=args.profile, world=world)
     markdown = render_markdown(report)
-    if out_path is not None:
-        with open(out_path, "w") as handle:
+    if args.out is not None:
+        with open(args.out, "w") as handle:
             handle.write(markdown)
-        print("wrote %s" % out_path)
-    elif not quiet:
+        print("wrote %s" % args.out)
+    elif not args.quiet:
         print(markdown)
-    if json_path is not None:
-        with open(json_path, "w") as handle:
+    if args.json is not None:
+        with open(args.json, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
-        print("wrote %s" % json_path)
-    if prom_path is not None:
-        with open(prom_path, "w") as handle:
+        print("wrote %s" % args.json)
+    if args.prom is not None:
+        with open(args.prom, "w") as handle:
             handle.write(series_mod.to_prometheus(registry))
-        print("wrote %s" % prom_path)
-    if csv_path is not None:
-        with open(csv_path, "w") as handle:
+        print("wrote %s" % args.prom)
+    if args.csv is not None:
+        with open(args.csv, "w") as handle:
             handle.write("\n".join(series_mod.csv_lines(registry)) + "\n")
-        print("wrote %s" % csv_path)
+        print("wrote %s" % args.csv)
     alerts = report["slo"]["alerts"]
     print("%s: %d window(s), %d instrument(s), %d alert(s)%s"
-          % (name, report["windows"], len(report["series"]), len(alerts),
+          % (args.scenario, report["windows"], len(report["series"]),
+             len(alerts),
              " — " + ", ".join(sorted(set(a["rule"] for a in alerts)))
              if alerts else ""))
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

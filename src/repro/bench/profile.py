@@ -40,7 +40,6 @@ wall-clock section).
 """
 
 import json
-import sys
 import time
 import tracemalloc
 
@@ -259,23 +258,7 @@ def run_speed(smoke=False, ops_per_client=None, widths=None):
     }
 
 
-def _speed_main(args):
-    out_path = SPEED_PATH
-    smoke = "--smoke" in args
-    if smoke:
-        args.remove("--smoke")
-    ops = None
-    if "--ops" in args:
-        index = args.index("--ops")
-        ops = int(args[index + 1])
-        del args[index:index + 2]
-    if "--out" in args:
-        index = args.index("--out")
-        out_path = args[index + 1]
-        del args[index:index + 2]
-    if args:
-        print("unknown option: %r" % args[0])
-        return 2
+def _speed_main(smoke, ops, out_path):
     if smoke and ops is None:
         ops = 12
     report = run_speed(smoke=smoke, ops_per_client=ops)
@@ -290,66 +273,59 @@ def _speed_main(args):
     return 0
 
 
-def main(argv):
-    args = list(argv)
-    if not args or args[0] in ("-h", "--help", "list"):
-        print(__doc__)
-        print("scenarios:")
-        for line in TRACED.listing():
-            print(line)
-        for alias, target in sorted(ALIASES.items()):
-            print("  %-9s alias for %s" % (alias, target))
+def main(argv=None):
+    parser = TRACED.parser("profile", __doc__, aliases=ALIASES)
+    parser.add_argument("--out", metavar="PATH",
+                        help="markdown report path (default stdout); with "
+                        "--speed the JSON path (default %s)" % SPEED_PATH)
+    parser.add_argument("--json", metavar="PATH", help="JSON report path")
+    parser.add_argument("--collapsed", metavar="PATH",
+                        help="collapsed-stack attribution path")
+    parser.add_argument("--top", type=int, default=DEFAULT_TOP, metavar="N",
+                        help="callback targets to list")
+    parser.add_argument("--no-alloc", action="store_true",
+                        help="skip the tracemalloc pass")
+    parser.add_argument("--no-ablation", action="store_true",
+                        help="skip the telemetry-armed pass")
+    speed = parser.add_argument_group("speed benchmark")
+    speed.add_argument("--speed", action="store_true",
+                       help="re-run the scaling width cells instead")
+    speed.add_argument("--smoke", action="store_true",
+                       help="with --speed: width 1 only, 12 ops per client")
+    speed.add_argument("--ops", type=int, help="with --speed: operations "
+                       "per client")
+    args = parser.parse_args(argv)
+    if args.speed:
+        if (args.scenario, args.json, args.collapsed, args.top,
+                args.no_alloc, args.no_ablation) \
+                != ("list", None, None, DEFAULT_TOP, False, False):
+            parser.error("--speed takes only --smoke, --ops and --out")
+        return _speed_main(args.smoke, args.ops, args.out or SPEED_PATH)
+    if args.smoke or args.ops is not None:
+        parser.error("--smoke and --ops apply to --speed only")
+    if args.scenario == "list":
+        parser.print_help()
         return 0
-    if args[0] == "--speed":
-        return _speed_main(args[1:])
-    name = args.pop(0)
-    out_path = json_path = collapsed_path = None
-    alloc = ablation = True
-    top = DEFAULT_TOP
-    value_flags = ("--out", "--json", "--collapsed", "--top")
-    while args:
-        flag = args.pop(0)
-        if flag in value_flags and not args:
-            print("%s requires a value" % flag)
-            return 2
-        if flag == "--out":
-            out_path = args.pop(0)
-        elif flag == "--json":
-            json_path = args.pop(0)
-        elif flag == "--collapsed":
-            collapsed_path = args.pop(0)
-        elif flag == "--top":
-            top = int(args.pop(0))
-        elif flag == "--no-alloc":
-            alloc = False
-        elif flag == "--no-ablation":
-            ablation = False
-        else:
-            print("unknown option: %r" % flag)
-            return 2
-    try:
-        report, profiler = profile_scenario(ALIASES.get(name, name),
-                                            alloc=alloc,
-                                            ablation=ablation, top=top)
-    except KeyError as error:
-        print(error.args[0])
-        return 2
+    report, profiler = profile_scenario(args.scenario,
+                                        alloc=not args.no_alloc,
+                                        ablation=not args.no_ablation,
+                                        top=args.top)
     markdown = render_markdown(report)
-    if out_path is not None:
-        with open(out_path, "w") as handle:
+    if args.out is not None:
+        with open(args.out, "w") as handle:
             handle.write(markdown)
-        print("wrote %s" % out_path)
+        print("wrote %s" % args.out)
     else:
         print(markdown)
-    if json_path is not None:
-        with open(json_path, "w") as handle:
+    if args.json is not None:
+        with open(args.json, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
-        print("wrote %s" % json_path)
-    if collapsed_path is not None:
-        with open(collapsed_path, "w") as handle:
+        print("wrote %s" % args.json)
+    if args.collapsed is not None:
+        with open(args.collapsed, "w") as handle:
             handle.write(profiler.collapsed_stacks())
         print("wrote %s (collapsed stacks; feed to flamegraph.pl "
-              "or speedscope)" % collapsed_path)
+              "or speedscope)" % args.collapsed)
     # Self-check: the report must satisfy its own schema, including
     # the >= 95% attribution-coverage bar.
     from ..telemetry.validate import validate_profile_report
@@ -366,4 +342,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

@@ -27,8 +27,8 @@ perf-motivated change can show its wall-clock win in the same output
 that proves the simulated metrics did not move.
 """
 
+import argparse
 import json
-import sys
 
 from . import scaling, setups
 
@@ -198,42 +198,35 @@ def format_rows(rows):
     return "\n".join(lines)
 
 
-def main(argv):
-    args = list(argv)
-    if args and args[0] in ("-h", "--help"):
-        print(__doc__)
-        return 0
-    baseline_path, json_path = BASELINE_PATH, None
-    smoke = False
-    tps_tol, p99_tol = TPS_TOLERANCE, P99_TOLERANCE
-    while args:
-        flag = args.pop(0)
-        if flag in ("--baseline", "--json", "--tps-tol",
-                    "--p99-tol") and not args:
-            print("%s requires a value" % flag)
-            return 2
-        if flag == "--baseline":
-            baseline_path = args.pop(0)
-        elif flag == "--json":
-            json_path = args.pop(0)
-        elif flag == "--smoke":
-            smoke = True
-            tps_tol = p99_tol = SMOKE_TOLERANCE
-        elif flag == "--tps-tol":
-            tps_tol = float(args.pop(0))
-        elif flag == "--p99-tol":
-            p99_tol = float(args.pop(0))
-        else:
-            print("unknown option: %r" % flag)
-            return 2
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        prog="python -m repro regress", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--baseline", default=BASELINE_PATH, metavar="PATH",
+                        help="scaling baseline (default %s)" % BASELINE_PATH)
+    parser.add_argument("--json", metavar="PATH", help="diff report path")
+    parser.add_argument("--smoke", action="store_true",
+                        help="width-1 cells only; both tolerances default "
+                        "to %g" % SMOKE_TOLERANCE)
+    parser.add_argument("--tps-tol", type=float, metavar="FRACTION",
+                        help="allowed TPS drop (default %g)" % TPS_TOLERANCE)
+    parser.add_argument("--p99-tol", type=float, metavar="FRACTION",
+                        help="allowed p99 rise (default %g)" % P99_TOLERANCE)
+    args = parser.parse_args(argv)
+    # an explicit tolerance wins over --smoke's, in either order
+    tps_tol, p99_tol = args.tps_tol, args.p99_tol
+    if tps_tol is None:
+        tps_tol = SMOKE_TOLERANCE if args.smoke else TPS_TOLERANCE
+    if p99_tol is None:
+        p99_tol = SMOKE_TOLERANCE if args.smoke else P99_TOLERANCE
     try:
-        with open(baseline_path) as handle:
+        with open(args.baseline) as handle:
             baseline = json.load(handle)
     except OSError as error:
-        print("cannot read baseline %s: %s" % (baseline_path, error))
+        print("cannot read baseline %s: %s" % (args.baseline, error))
         return 2
     try:
-        fresh = run_fresh(baseline, smoke=smoke)
+        fresh = run_fresh(baseline, smoke=args.smoke)
     except RuntimeError as error:
         print(str(error))
         return 2
@@ -244,11 +237,11 @@ def main(argv):
     print("\nwall clock (advisory — never fails the gate):")
     for line in wall_clock_advisory(fresh):
         print(line)
-    if json_path is not None:
-        with open(json_path, "w") as handle:
-            json.dump({"baseline": baseline_path, "rows": rows,
+    if args.json is not None:
+        with open(args.json, "w") as handle:
+            json.dump({"baseline": args.baseline, "rows": rows,
                        "fresh": fresh}, handle, indent=2, sort_keys=True)
-        print("wrote %s" % json_path)
+        print("wrote %s" % args.json)
     if failures:
         print("\nREGRESSION: %d metric(s) beyond tolerance "
               "(tps %.0f%%, p99 %.0f%%)"
@@ -261,4 +254,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

@@ -3,8 +3,9 @@
 Each CLI used to keep its own ``dict`` of scenario names with its own
 lookup, error message and help listing.  A :class:`ScenarioSet` is that
 registry once: uniform ``KeyError`` text (with the available names),
-uniform help listing, and dict-compatible access (``in``, ``[...]``,
-iteration) so existing call sites keep working.
+uniform help listing, one argparse parser per scenario command
+(:meth:`ScenarioSet.parser`), and dict-compatible access (``in``,
+``[...]``, iteration) so existing call sites keep working.
 
 Two sets live here because several CLIs share them:
 
@@ -20,6 +21,8 @@ Two sets live here because several CLIs share them:
 
 The explain CLI registers its own set (:mod:`repro.bench.explain`).
 """
+
+import argparse
 
 from ..devices import make_durassd
 from ..failures.corruption import (
@@ -68,6 +71,26 @@ class ScenarioSet:
         return ["%s%-*s %s" % (indent, width + 1, name, description)
                 for name, (description, _fn)
                 in sorted(self._scenarios.items())]
+
+    def parser(self, command, doc, aliases=None):
+        """The argparse parser of ``python -m repro <command> [scenario]``.
+
+        Help is ``doc`` plus this set's listing (and ``aliases``, a
+        ``{alias: name}`` dict); a bare or ``list`` invocation parses
+        as scenario ``"list"``, and an unknown name is a usage error.
+        """
+        aliases = aliases or {}
+        listing = self.listing() + ["  %-9s alias for %s" % item
+                                    for item in sorted(aliases.items())]
+        parser = argparse.ArgumentParser(
+            prog="python -m repro " + command, description=doc,
+            epilog="scenarios:\n" + "\n".join(listing),
+            formatter_class=argparse.RawDescriptionHelpFormatter)
+        parser.add_argument("scenario", nargs="?", default="list",
+                            choices=["list", *self, *aliases],
+                            metavar="SCENARIO",
+                            help="a scenario below, or 'list'")
+        return parser
 
     # dict-compatible access, so ``SCENARIOS = TRACED`` keeps old call
     # sites (``name in SCENARIOS``, ``SCENARIOS[name][0]``) working.

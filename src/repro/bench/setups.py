@@ -47,7 +47,7 @@ from typing import Optional
 from ..db.commercial import CommercialConfig, CommercialEngine
 from ..db.couchstore import CouchstoreConfig, CouchstoreEngine
 from ..db.innodb import InnoDBConfig, InnoDBEngine
-from ..devices import make_durassd, make_hdd, make_ssd_a, make_ssd_b
+from ..devices import DEVICE_MAKERS
 from ..failures.grayfaults import PROFILES, GrayFaultModel, make_profile
 from ..host import (
     FileSystem,
@@ -57,18 +57,11 @@ from ..host import (
     StripedVolume,
 )
 from ..host.lifecycle import TimeoutPolicy
-from ..host.queues import INTERFACES, QueueTopology
+from ..host.queues import INTERFACES, QueueTopology, queue_topology
 from ..sim import Simulator, units
 from ..telemetry import MetricsRegistry, Telemetry
 
 PAPER_DB_BYTES = 100 * units.GIB
-
-DEVICE_MAKERS = {
-    "hdd": make_hdd,
-    "ssd-a": make_ssd_a,
-    "ssd-b": make_ssd_b,
-    "durassd": make_durassd,
-}
 
 #: seed of every bench gray-fault schedule; devices decorrelate by salt
 GRAY_SEED = 0
@@ -128,23 +121,6 @@ class WorldConfig:
         if data.get("queue") is not None:
             data["queue"] = QueueTopology.from_json(data["queue"])
         return cls(**data)
-
-
-def queue_topology(interface="sata", submission_queues=2, queue_depth=None):
-    """The :class:`QueueTopology` for one host-interface choice.
-
-    ``"sata"`` is the single NCQ; ``"nvme"`` has ``submission_queues``
-    SQ/CQ pairs, and with more than one the ``log`` stream (WAL/journal
-    writes) pins to the last queue so redo flushes never sit behind
-    data-page traffic.
-    """
-    if interface == "sata":
-        return QueueTopology(interface="sata", queue_depth=queue_depth)
-    affinity = {"log": submission_queues - 1} if submission_queues > 1 \
-        else None
-    return QueueTopology(interface="nvme", queue_depth=queue_depth,
-                         submission_queues=submission_queues,
-                         affinity=affinity)
 
 
 def world_parser():

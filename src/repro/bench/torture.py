@@ -15,14 +15,15 @@ catches the volatile-cache-no-barrier anomalies.  A failing or violating
 sweep can be minimized to a replayable JSON artifact with ``--out``.
 """
 
+import argparse
 import json
-import sys
 import time
 
+from ..devices import DEVICE_MAKERS
 from ..failures import torture as harness
 from . import setups
 
-DEVICES = ("hdd", "ssd-a", "ssd-b", "durassd")
+DEVICES = tuple(DEVICE_MAKERS)
 
 SMOKE_BASE_OPS = 40
 
@@ -119,44 +120,38 @@ def full(engine, device, ops, seed, barriers, doublewrite, max_trials,
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in ("-h", "--help"):
-        print(__doc__)
-        return 0
-
-    def take_option(name, default=None):
-        if name in argv:
-            index = argv.index(name)
-            value = argv[index + 1]
-            del argv[index:index + 2]
-            return value
-        return default
-
-    smoke_mode = "--smoke" in argv
-    if smoke_mode:
-        argv.remove("--smoke")
-    no_doublewrite = "--no-doublewrite" in argv
-    if no_doublewrite:
-        argv.remove("--no-doublewrite")
-    ops = take_option("--ops")
-    seed = int(take_option("--seed", "11"))
-    barriers = take_option("--barriers", "auto")
-    max_trials = take_option("--max-trials")
-    out_path = take_option("--out")
-    if barriers not in ("auto", "on", "off"):
-        print("--barriers must be auto, on or off")
-        return 2
-    barriers = None if barriers == "auto" else (barriers == "on")
-    if smoke_mode:
-        return smoke(ops=int(ops) if ops else None, seed=seed)
-    engine = argv[0] if argv else "innodb"
-    device = argv[1] if len(argv) > 1 else "durassd"
-    return full(engine, device,
-                ops=int(ops) if ops else setups.ops_scale(200),
-                seed=seed, barriers=barriers,
-                doublewrite=not no_doublewrite,
-                max_trials=int(max_trials) if max_trials else None,
-                out_path=out_path)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro torture", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("engine", nargs="?", default="innodb",
+                        choices=harness.ENGINES)
+    parser.add_argument("device", nargs="?", default="durassd",
+                        choices=DEVICES)
+    parser.add_argument("--smoke", action="store_true",
+                        help="CI gate: every device preset, quick")
+    parser.add_argument("--ops", type=int, help="operations per sweep")
+    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--barriers", choices=("auto", "on", "off"),
+                        default="auto",
+                        help="auto: off only for durable-cache devices")
+    parser.add_argument("--no-doublewrite", action="store_true",
+                        help="disable InnoDB's doublewrite buffer")
+    parser.add_argument("--max-trials", type=int,
+                        help="cap the cut points tried")
+    parser.add_argument("--out", metavar="PATH",
+                        help="minimized repro artifact path")
+    args = parser.parse_args(argv)
+    if args.ops is not None and args.ops < 1:
+        parser.error("--ops must be >= 1")
+    if args.smoke:
+        return smoke(ops=args.ops, seed=args.seed)
+    return full(args.engine, args.device,
+                ops=setups.ops_scale(200) if args.ops is None else args.ops,
+                seed=args.seed,
+                barriers=None if args.barriers == "auto"
+                else args.barriers == "on",
+                doublewrite=not args.no_doublewrite,
+                max_trials=args.max_trials, out_path=args.out)
 
 
 if __name__ == "__main__":

@@ -26,57 +26,33 @@ def run_scenario(name, sample_interval=0.002):
     return telemetry, outcome
 
 
-def main(argv):
+def main(argv=None):
     """``python -m repro trace <experiment> [--out X] [--jsonl Y]``."""
-    args = list(argv)
-    if not args or args[0] in ("-h", "--help", "list"):
-        print(__doc__)
-        print("scenarios:")
-        for line in SCENARIOS.listing():
-            print(line)
-        print("\noptions: --out PATH (default trace.json), --jsonl PATH,"
-              "\n         --sample-interval SECONDS, --quiet")
+    parser = SCENARIOS.parser("trace", __doc__)
+    parser.add_argument("--out", default="trace.json", metavar="PATH",
+                        help="chrome trace path (default trace.json)")
+    parser.add_argument("--jsonl", metavar="PATH",
+                        help="also write the raw JSONL event stream")
+    parser.add_argument("--sample-interval", type=float, default=0.002,
+                        metavar="SECONDS", help="probe sampling interval")
+    parser.add_argument("--quiet", action="store_true",
+                        help="skip the summary and flamegraph")
+    args = parser.parse_args(argv)
+    if args.scenario == "list":
+        parser.print_help()
         return 0
-    name = args.pop(0)
-    out, jsonl_path, quiet = "trace.json", None, False
-    sample_interval = 0.002
-    while args:
-        flag = args.pop(0)
-        if flag in ("--out", "--jsonl", "--sample-interval") and not args:
-            print("%s requires a value" % flag)
-            return 2
-        if flag == "--out":
-            out = args.pop(0)
-        elif flag == "--jsonl":
-            jsonl_path = args.pop(0)
-        elif flag == "--sample-interval":
-            try:
-                sample_interval = float(args.pop(0))
-            except ValueError:
-                print("--sample-interval wants seconds, e.g. 0.002")
-                return 2
-            if sample_interval <= 0:
-                print("--sample-interval must be positive")
-                return 2
-        elif flag == "--quiet":
-            quiet = True
-        else:
-            print("unknown option: %r" % flag)
-            return 2
-    try:
-        telemetry, outcome = run_scenario(name,
-                                          sample_interval=sample_interval)
-    except KeyError as error:
-        print(error.args[0])
-        return 2
-    telemetry.write_chrome_trace(out)
+    if args.sample_interval <= 0:
+        parser.error("--sample-interval must be positive")
+    telemetry, outcome = run_scenario(args.scenario,
+                                      sample_interval=args.sample_interval)
+    telemetry.write_chrome_trace(args.out)
     print(outcome)
     print("chrome trace: %s (%d events, tracks: %s)"
-          % (out, len(telemetry.events), ", ".join(telemetry.tracks())))
-    if jsonl_path is not None:
-        telemetry.write_jsonl(jsonl_path)
-        print("jsonl events: %s" % jsonl_path)
-    if not quiet:
+          % (args.out, len(telemetry.events), ", ".join(telemetry.tracks())))
+    if args.jsonl is not None:
+        telemetry.write_jsonl(args.jsonl)
+        print("jsonl events: %s" % args.jsonl)
+    if not args.quiet:
         print()
         print(telemetry.render_summary())
         from ..telemetry import render_flamegraph

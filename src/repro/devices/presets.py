@@ -135,3 +135,13 @@ def make_durassd(sim, cache_enabled=True, capacity_bytes=DEFAULT_CAPACITY,
     from ..core.durassd import DuraSSD
     return DuraSSD(sim, _named(durassd_spec(capacity_bytes), name),
                    cache_enabled)
+
+
+#: every calibrated preset by the device-kind name the CLIs and the
+#: torture scenarios use
+DEVICE_MAKERS = {
+    "hdd": make_hdd,
+    "ssd-a": make_ssd_a,
+    "ssd-b": make_ssd_b,
+    "durassd": make_durassd,
+}

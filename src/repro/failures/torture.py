@@ -39,7 +39,7 @@ from ..db.commercial import CommercialConfig, CommercialEngine
 from ..db.degrade import DegradedError
 from ..db.innodb import InnoDBConfig, InnoDBEngine
 from ..db.pages import TornPageError
-from ..devices import make_durassd, make_hdd, make_ssd_a, make_ssd_b
+from ..devices import DEVICE_MAKERS
 from ..host import (
     FileSystem,
     MirroredVolume,
@@ -51,7 +51,7 @@ from ..host import (
 )
 from ..host.integrity import CorruptDataError
 from ..host.lifecycle import TimeoutPolicy
-from ..host.queues import INTERFACES, QueueTopology
+from ..host.queues import INTERFACES, queue_topology
 from ..sim import Simulator, units
 from ..sim.rng import make_rng
 from ..workloads.linkbench import (
@@ -76,14 +76,7 @@ ARTIFACT_FORMAT = "repro.torture/1"
 #: Offset past the final ack for the "after everything was acked" cut.
 _AFTER_LAST_ACK = 1e-7
 
-_DEVICE_MAKERS = {
-    "hdd": make_hdd,
-    "ssd-a": make_ssd_a,
-    "ssd-b": make_ssd_b,
-    "durassd": make_durassd,
-}
-
-_ENGINES = ("innodb", "commercial")
+ENGINES = ("innodb", "commercial")
 
 
 class TortureScenario:
@@ -105,9 +98,9 @@ class TortureScenario:
                  checksums=False, scrub=False, death=None,
                  death_target="data", spares=0, rebuild_pace=None,
                  interface="sata", submission_queues=2):
-        if engine not in _ENGINES:
+        if engine not in ENGINES:
             raise ValueError("unknown engine: %r" % engine)
-        if device not in _DEVICE_MAKERS:
+        if device not in DEVICE_MAKERS:
             raise ValueError("unknown device: %r" % device)
         if workload != "linkbench":
             raise ValueError("unknown workload: %r" % workload)
@@ -303,7 +296,7 @@ class TortureWorld:
 def build_world(scenario, telemetry=None):
     """Construct the scenario's world from scratch; deterministic."""
     sim = Simulator(telemetry)
-    maker = _DEVICE_MAKERS[scenario.device]
+    maker = DEVICE_MAKERS[scenario.device]
     data_capacity = max(32 * units.MIB, scenario.db_bytes * 8)
     log_capacity = max(16 * units.MIB, scenario.db_bytes * 2)
     if scenario.stripe > 1:
@@ -378,14 +371,9 @@ def build_world(scenario, telemetry=None):
     barriers = (not all_durable) if scenario.barriers is None \
         else scenario.barriers
     # None = the legacy SATA construction path, byte-identical to every
-    # committed torture artifact; the NVMe topology routes the log
-    # stream to its last submission queue like the bench worlds do.
-    queue_model = None
-    if scenario.interface == "nvme":
-        queues = scenario.submission_queues
-        queue_model = QueueTopology(
-            interface="nvme", submission_queues=queues,
-            affinity={"log": queues - 1} if queues > 1 else None)
+    # committed torture artifact; NVMe is the bench worlds' topology.
+    queue_model = (queue_topology("nvme", scenario.submission_queues)
+                   if scenario.interface == "nvme" else None)
     volume = None
     if scenario.stripe > 1:
         data_target = StripedVolume(sim, data_devices,

@@ -387,6 +387,23 @@ class QueueTopology:
         return hash(json.dumps(self.to_json(), sort_keys=True))
 
 
+def queue_topology(interface="sata", submission_queues=2, queue_depth=None):
+    """The :class:`QueueTopology` for one host-interface choice.
+
+    ``"sata"`` is the single NCQ; ``"nvme"`` has ``submission_queues``
+    SQ/CQ pairs, and with more than one the ``log`` stream (WAL/journal
+    writes) pins to the last queue so redo flushes never sit behind
+    data-page traffic.
+    """
+    if interface == "sata":
+        return QueueTopology(interface="sata", queue_depth=queue_depth)
+    affinity = {"log": submission_queues - 1} if submission_queues > 1 \
+        else None
+    return QueueTopology(interface="nvme", queue_depth=queue_depth,
+                         submission_queues=submission_queues,
+                         affinity=affinity)
+
+
 def resolve_queue_model(queue_model, queue_depth=None, ordered_queue=True,
                         reorder_window=8):
     """The topology construction sites build queues from.

@@ -23,8 +23,8 @@ checks enforce the ``repro.explain/1`` schema and the attribution
 exactness guarantee (blame sums to wall time, bounded ``other``).
 """
 
+import argparse
 import json
-import sys
 
 _ALLOWED_PHASES = {"X", "i", "C", "M", "B", "E", "b", "e"}
 
@@ -358,119 +358,69 @@ def validate_trace_file(path, min_tracks=0, require_tracks=(),
     return errors, stats
 
 
+#: ``--<mode>`` -> (report validator, OK-line details of a valid report)
+REPORT_MODES = {
+    "explain": (validate_explain_report,
+                lambda report: "%s; modes: %s"
+                % (report["schema"], ", ".join(report["modes"]))),
+    "monitor": (validate_monitor_report,
+                lambda report: "%s; %d windows, %d series, %d alerts"
+                % (report["schema"], report["windows"],
+                   len(report["series"]), len(report["slo"]["alerts"]))),
+    "profile": (validate_profile_report,
+                lambda report: "%s; %s: %d events, %.2fx real time, "
+                "coverage %.1f%%"
+                % (report["schema"], report["scenario"], report["steps"],
+                   report["real_time_factor"], report["coverage"] * 100)),
+}
+
+
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    min_tracks = 0
-    require = []
-    paths = []
-    check_attrs = False
-    explain_mode = False
-    monitor_mode = False
-    profile_mode = False
-    while argv:
-        arg = argv.pop(0)
-        if arg == "--min-tracks":
-            min_tracks = int(argv.pop(0))
-        elif arg == "--require-tracks":
-            require = [t for t in argv.pop(0).split(",") if t]
-        elif arg == "--check-probe-attrs":
-            check_attrs = True
-        elif arg == "--explain":
-            explain_mode = True
-        elif arg == "--monitor":
-            monitor_mode = True
-        elif arg == "--profile":
-            profile_mode = True
-        elif arg in ("-h", "--help"):
-            print(__doc__)
-            return 0
-        else:
-            paths.append(arg)
-    if not paths:
-        print("usage: python -m repro.telemetry.validate TRACE.json "
-              "[--min-tracks N] [--require-tracks a,b,c] "
-              "[--check-probe-attrs] | --explain REPORT.json "
-              "| --monitor DASH.json | --profile PROFILE.json")
-        return 2
-    if profile_mode:
-        status = 0
-        for path in paths:
-            try:
-                with open(path) as handle:
-                    report = json.load(handle)
-            except (OSError, ValueError) as exc:
-                print("%s: INVALID\n  - cannot load: %s" % (path, exc))
-                status = 1
-                continue
-            errors = validate_profile_report(report)
-            if errors:
-                status = 1
-                print("%s: INVALID" % path)
-                for error in errors:
-                    print("  - %s" % error)
-            else:
-                print("%s: OK (%s; %s: %d events, %.2fx real time, "
-                      "coverage %.1f%%)"
-                      % (path, report["schema"], report["scenario"],
-                         report["steps"], report["real_time_factor"],
-                         report["coverage"] * 100))
-        return status
-    if monitor_mode:
-        status = 0
-        for path in paths:
-            try:
-                with open(path) as handle:
-                    report = json.load(handle)
-            except (OSError, ValueError) as exc:
-                print("%s: INVALID\n  - cannot load: %s" % (path, exc))
-                status = 1
-                continue
-            errors = validate_monitor_report(report)
-            if errors:
-                status = 1
-                print("%s: INVALID" % path)
-                for error in errors:
-                    print("  - %s" % error)
-            else:
-                print("%s: OK (%s; %d windows, %d series, %d alerts)"
-                      % (path, report["schema"], report["windows"],
-                         len(report["series"]),
-                         len(report["slo"]["alerts"])))
-        return status
-    if explain_mode:
-        status = 0
-        for path in paths:
-            try:
-                with open(path) as handle:
-                    report = json.load(handle)
-            except (OSError, ValueError) as exc:
-                print("%s: INVALID\n  - cannot load: %s" % (path, exc))
-                status = 1
-                continue
-            errors = validate_explain_report(report)
-            if errors:
-                status = 1
-                print("%s: INVALID" % path)
-                for error in errors:
-                    print("  - %s" % error)
-            else:
-                print("%s: OK (%s; modes: %s)"
-                      % (path, report["schema"],
-                         ", ".join(report["modes"])))
-        return status
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.telemetry.validate", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("paths", nargs="+", metavar="FILE")
+    parser.add_argument("--min-tracks", type=int, default=0, metavar="N",
+                        help="Chrome trace: at least N named tracks")
+    parser.add_argument("--require-tracks", default="", metavar="A,B,C",
+                        help="Chrome trace: these tracks must exist")
+    parser.add_argument("--check-probe-attrs", action="store_true",
+                        help="Chrome trace: check probe instance attrs")
+    modes = parser.add_mutually_exclusive_group()
+    for mode in REPORT_MODES:
+        modes.add_argument("--" + mode, dest="mode", action="store_const",
+                           const=mode,
+                           help="FILE is a repro.%s/1 report" % mode)
+    args = parser.parse_args(argv)
     status = 0
-    for path in paths:
-        errors, stats = validate_trace_file(path, min_tracks=min_tracks,
-                                            require_tracks=require,
-                                            check_probe_attrs=check_attrs)
+    for path in args.paths:
+        if args.mode is None:
+            errors, stats = validate_trace_file(
+                path, min_tracks=args.min_tracks,
+                require_tracks=[t for t in args.require_tracks.split(",")
+                                if t],
+                check_probe_attrs=args.check_probe_attrs)
+            if not errors:
+                details = "%d events, tracks: %s" % (
+                    stats["events"], ", ".join(stats["tracks"]))
+        else:
+            validator, describe = REPORT_MODES[args.mode]
+            try:
+                with open(path) as handle:
+                    report = json.load(handle)
+            except (OSError, ValueError) as exc:
+                errors = ["cannot load: %s" % exc]
+            else:
+                errors = validator(report)
+            if not errors:
+                details = describe(report)
         if errors:
             status = 1
             print("%s: INVALID" % path)
             for error in errors:
                 print("  - %s" % error)
         else:
-            print("%s: OK (%d events, tracks: %s)"
-                  % (path, stats["events"], ", ".join(stats["tracks"])))
+            print("%s: OK (%s)" % (path, details))
     return status
 
 
